@@ -7,8 +7,21 @@
 //! configuration, the bipartite graph (including streamed nodes), the
 //! trained BiSAGE model with its base tables, the detector state
 //! (histograms, frozen reference set, thresholds) and the per-record
-//! trust bits. Snapshots are JSON (portable, diff-able); a typical
-//! one-home model is a few hundred kilobytes.
+//! trust bits.
+//!
+//! A snapshot has two on-disk forms:
+//!
+//! - the **JSON export** ([`GemSnapshot::to_json`], [`Gem::save`]):
+//!   portable and diff-able, the user-facing `--model` file;
+//! - the **binary image** ([`GemSnapshot::to_image`]): `IMAGE_MAGIC`,
+//!   a `u32` codec version, then the snapshot's fields in the
+//!   `serde::bin` layout. It is what the fleet writes when it spills or
+//!   snapshots a premises — about a third the size of the JSON and
+//!   decoded with no intermediate tree.
+//!
+//! [`GemSnapshot::from_image`] reads either, told apart by the leading
+//! byte. The [`FleetManifest`] is binary too; checksums live in the
+//! manifest, which records the [`fnv1a64`] of every image it references.
 
 use std::fs;
 use std::io;
@@ -28,6 +41,12 @@ use crate::pca::PcaRotation;
 /// Magic marker + version guard for snapshot files.
 const FORMAT: &str = "gem-snapshot";
 const VERSION: u32 = 1;
+
+/// Leading bytes of a binary image. The first byte is not ASCII, so an
+/// image is never mistaken for the JSON export (which opens with `{`).
+const IMAGE_MAGIC: [u8; 4] = *b"\x89GEM";
+/// Binary image layout version, checked before any field is decoded.
+const IMAGE_VERSION: u32 = 1;
 
 /// A complete serialized GEM system.
 #[derive(Serialize, Deserialize)]
@@ -63,9 +82,11 @@ pub struct GemSnapshot {
 pub enum PersistError {
     /// Filesystem error.
     Io(io::Error),
-    /// Malformed JSON or wrong schema.
+    /// Undecodable bytes: malformed JSON, a truncated or trailing-byte
+    /// binary image or manifest, or an unknown leading byte.
     Format(String),
-    /// The file is valid JSON but not a compatible snapshot.
+    /// The file decodes but is not compatible: wrong tag or version, a
+    /// checksum mismatch, or state inconsistent with itself.
     Incompatible(String),
 }
 
@@ -152,15 +173,50 @@ impl GemSnapshot {
         serde_json::from_str(json).map_err(|e| PersistError::Format(e.to_string()))
     }
 
-    /// Writes the snapshot to a file.
+    /// Encodes the binary image: magic, codec version, fields.
+    pub fn to_image(&self) -> Vec<u8> {
+        let mut out = IMAGE_MAGIC.to_vec();
+        out.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
+        serde::Serialize::encode(self, &mut out);
+        out
+    }
+
+    /// Decodes a snapshot file's bytes: a binary image, or the JSON
+    /// export, told apart by the leading byte. Integrity is the caller's
+    /// to check (the manifest holds each image's checksum).
+    pub fn from_image(bytes: &[u8]) -> Result<GemSnapshot, PersistError> {
+        if let Some(body) = bytes.strip_prefix(&IMAGE_MAGIC) {
+            let (version, fields) = body
+                .split_at_checked(4)
+                .ok_or_else(|| PersistError::Format("image ends inside its header".into()))?;
+            let version = u32::from_le_bytes(version.try_into().expect("4 bytes"));
+            if version != IMAGE_VERSION {
+                return Err(PersistError::Incompatible(format!(
+                    "image version {version} (supported: {IMAGE_VERSION})"
+                )));
+            }
+            return serde::bin::from_bytes(fields).map_err(|e| PersistError::Format(e.to_string()));
+        }
+        match bytes.iter().find(|b| !b.is_ascii_whitespace()) {
+            Some(b'{') => Self::from_json(
+                std::str::from_utf8(bytes).map_err(|e| PersistError::Format(e.to_string()))?,
+            ),
+            Some(b) => Err(PersistError::Format(format!(
+                "neither a binary image nor a JSON snapshot (leading byte {b:#04x})"
+            ))),
+            None => Err(PersistError::Format("empty snapshot file".into())),
+        }
+    }
+
+    /// Writes the JSON export to a file.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
         fs::write(path, self.to_json()?)?;
         Ok(())
     }
 
-    /// Reads a snapshot from a file.
+    /// Reads a snapshot file in either form (see [`GemSnapshot::from_image`]).
     pub fn load(path: impl AsRef<Path>) -> Result<GemSnapshot, PersistError> {
-        Self::from_json(&fs::read_to_string(path)?)
+        Self::from_image(&fs::read(path)?)
     }
 }
 
@@ -170,7 +226,7 @@ impl Gem {
         GemSnapshot::capture(self).save(path)
     }
 
-    /// Restores a system from a snapshot file.
+    /// Restores a system from a snapshot file (JSON or binary image).
     pub fn load(path: impl AsRef<Path>) -> Result<Gem, PersistError> {
         GemSnapshot::load(path)?.restore()
     }
@@ -181,7 +237,7 @@ impl Gem {
 // ---------------------------------------------------------------------------
 
 /// FNV-1a 64-bit hash — the workspace's checksum primitive for durability
-/// artifacts (manifest bodies, snapshot files, journal lines). Not
+/// artifacts (manifest bodies, snapshot images, journal and wire frames). Not
 /// cryptographic; it guards against truncation, bit rot and partial
 /// writes, which is what crash recovery needs to detect.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -194,16 +250,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// [`fnv1a64`] rendered as the canonical 16-digit lowercase hex string
-/// stored in manifests and journal lines.
+/// stored in manifest entries.
 pub fn fnv1a64_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a64(bytes))
 }
 
 /// Filename of the fleet manifest inside a durability directory.
-pub const MANIFEST_FILE: &str = "manifest.json";
+pub const MANIFEST_FILE: &str = "manifest.bin";
 
-const MANIFEST_FORMAT: &str = "gem-fleet-manifest";
-const MANIFEST_VERSION: u32 = 1;
+/// Leading bytes of a manifest file (see [`FleetManifest::save`]).
+const MANIFEST_MAGIC: [u8; 4] = *b"\x89GFM";
+const MANIFEST_VERSION: u32 = 2;
+/// Magic, version and body checksum.
+const MANIFEST_HEADER_LEN: usize = 16;
 
 /// One premises' durable state, as recorded in a [`FleetManifest`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -225,31 +284,20 @@ pub struct PremisesEntry {
     pub sidecar: serde_json::Value,
 }
 
-/// Versioned, checksummed index of a fleet durability directory: which
-/// premises exist, where each one's snapshot lives, and the journal
-/// watermark (`epochs`) recovery must replay from.
-#[derive(Debug, Serialize, Deserialize)]
+/// Checksummed index of a fleet durability directory: which premises
+/// exist, where each one's snapshot lives, and the journal watermark
+/// (`epochs`) recovery must replay from.
+#[derive(Debug)]
 pub struct FleetManifest {
-    format: String,
-    version: u32,
     /// Per-premises entries, sorted by premises id.
     pub premises: Vec<PremisesEntry>,
-    /// [`fnv1a64_hex`] over the serialized `premises` array.
-    checksum: String,
 }
 
 impl FleetManifest {
-    /// Builds a manifest over the given entries (sorted by premises id;
-    /// the checksum is computed over the canonical serialized array).
+    /// Builds a manifest over the given entries (sorted by premises id).
     pub fn new(mut premises: Vec<PremisesEntry>) -> FleetManifest {
         premises.sort_by_key(|e| e.premises_id);
-        let body = serde_json::to_string(&premises).expect("serialize manifest entries");
-        FleetManifest {
-            format: MANIFEST_FORMAT.to_string(),
-            version: MANIFEST_VERSION,
-            checksum: fnv1a64_hex(body.as_bytes()),
-            premises,
-        }
+        FleetManifest { premises }
     }
 
     /// The entry for one premises, when present.
@@ -262,15 +310,22 @@ impl FleetManifest {
     /// a torn manifest) and the directory is synced after it (so the
     /// rename itself — and the directory entries of any files written
     /// alongside — survive power loss, not just process crashes).
+    ///
+    /// The file is `MANIFEST_MAGIC`, a `u32` version, the [`fnv1a64`] of
+    /// the body, then the body: the entries in the `serde::bin` layout.
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), PersistError> {
         let dir = dir.as_ref();
-        let json =
-            serde_json::to_string_pretty(self).map_err(|e| PersistError::Format(e.to_string()))?;
+        let mut bytes = vec![0u8; MANIFEST_HEADER_LEN];
+        serde::Serialize::encode(&self.premises, &mut bytes);
+        let checksum = fnv1a64(&bytes[MANIFEST_HEADER_LEN..]);
+        bytes[..4].copy_from_slice(&MANIFEST_MAGIC);
+        bytes[4..8].copy_from_slice(&MANIFEST_VERSION.to_le_bytes());
+        bytes[8..MANIFEST_HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
         let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
         {
             use std::io::Write;
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
+            f.write_all(&bytes)?;
             f.sync_data()?;
         }
         fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
@@ -283,34 +338,31 @@ impl FleetManifest {
         Ok(())
     }
 
-    /// Loads and verifies the manifest from `dir`: format tag, version,
-    /// and body checksum must all match.
+    /// Loads and verifies the manifest from `dir`: magic, version, and
+    /// the checksum over the stored body bytes must all match before the
+    /// body is decoded.
     pub fn load(dir: impl AsRef<Path>) -> Result<FleetManifest, PersistError> {
-        let raw = fs::read_to_string(dir.as_ref().join(MANIFEST_FILE))?;
-        let manifest: FleetManifest =
-            serde_json::from_str(&raw).map_err(|e| PersistError::Format(e.to_string()))?;
-        if manifest.format != MANIFEST_FORMAT {
+        let bytes = fs::read(dir.as_ref().join(MANIFEST_FILE))?;
+        if bytes.len() < MANIFEST_HEADER_LEN || bytes[..4] != MANIFEST_MAGIC {
+            return Err(PersistError::Format("not a fleet manifest (bad magic)".into()));
+        }
+        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        if version != MANIFEST_VERSION {
             return Err(PersistError::Incompatible(format!(
-                "manifest format tag {:?}",
-                manifest.format
+                "manifest version {version} (supported: {MANIFEST_VERSION})"
             )));
         }
-        if manifest.version != MANIFEST_VERSION {
+        let stored = u64::from_le_bytes(bytes[8..MANIFEST_HEADER_LEN].try_into().expect("8 bytes"));
+        let body = &bytes[MANIFEST_HEADER_LEN..];
+        let computed = fnv1a64(body);
+        if stored != computed {
             return Err(PersistError::Incompatible(format!(
-                "manifest version {} (supported: {MANIFEST_VERSION})",
-                manifest.version
+                "manifest checksum mismatch (stored {stored:016x}, computed {computed:016x})"
             )));
         }
-        let body = serde_json::to_string(&manifest.premises)
-            .map_err(|e| PersistError::Format(e.to_string()))?;
-        let expect = fnv1a64_hex(body.as_bytes());
-        if manifest.checksum != expect {
-            return Err(PersistError::Incompatible(format!(
-                "manifest checksum mismatch (stored {}, computed {expect})",
-                manifest.checksum
-            )));
-        }
-        Ok(manifest)
+        let premises =
+            serde::bin::from_bytes(body).map_err(|e| PersistError::Format(e.to_string()))?;
+        Ok(FleetManifest { premises })
     }
 
     /// Verifies that every referenced snapshot file exists in `dir` and
@@ -516,11 +568,50 @@ mod tests {
         // Flip the recorded epoch count in the file: the body checksum no
         // longer matches and the load must fail.
         let path = dir.join(MANIFEST_FILE);
-        let tampered =
-            std::fs::read_to_string(&path).unwrap().replace("\"epochs\": 5", "\"epochs\": 6");
+        let mut tampered = std::fs::read(&path).unwrap();
+        let at = tampered.windows(8).position(|w| w == 5u64.to_le_bytes()).unwrap();
+        tampered[at] = 6;
         std::fs::write(&path, tampered).unwrap();
         assert!(matches!(FleetManifest::load(&dir), Err(PersistError::Incompatible(_))));
+        // A file that is not a manifest at all is a format error.
+        std::fs::write(&path, b"{\"premises\":[]}").unwrap();
+        assert!(matches!(FleetManifest::load(&dir), Err(PersistError::Format(_))));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn image_roundtrips_and_reads_the_json_export_too() {
+        let (mut gem, ds) = trained_gem();
+        for t in ds.test.iter().take(10) {
+            gem.infer(&t.record);
+        }
+        let snap = GemSnapshot::capture(&gem);
+        let json = snap.to_json().unwrap();
+        let image = snap.to_image();
+        assert!(image.len() < json.len() / 2, "image {} vs json {}", image.len(), json.len());
+        // Both forms decode through the one entry point to the same state.
+        for bytes in [image.as_slice(), json.as_bytes()] {
+            let back = GemSnapshot::from_image(bytes).unwrap();
+            assert_eq!(back.to_json().unwrap(), json);
+            assert_eq!(back.to_image(), image);
+        }
+        // Wrong version, truncation, trailing bytes and unknown leading
+        // bytes all refuse.
+        let mut wrong = image.clone();
+        wrong[4] ^= 1;
+        assert!(matches!(GemSnapshot::from_image(&wrong), Err(PersistError::Incompatible(_))));
+        for cut in [0, 3, 7, 8, image.len() / 2, image.len() - 1] {
+            assert!(matches!(GemSnapshot::from_image(&image[..cut]), Err(PersistError::Format(_))));
+        }
+        let mut trailing = image.clone();
+        trailing.push(0);
+        assert!(matches!(GemSnapshot::from_image(&trailing), Err(PersistError::Format(_))));
+        assert!(matches!(GemSnapshot::from_image(b"GEM"), Err(PersistError::Format(_))));
+        // `load` reads an image file as readily as the JSON export.
+        let path = std::env::temp_dir().join("gem_persist_image_test.bin");
+        std::fs::write(&path, &image).unwrap();
+        assert_eq!(GemSnapshot::load(&path).unwrap().to_image(), image);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

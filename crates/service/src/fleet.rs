@@ -49,7 +49,9 @@ use crate::monitor::{Monitor, MonitorState, MonitorStats};
 use crate::obs::{
     AdmissionObs, FleetStats, MonitorObs, ObsOptions, ShardAdmissionObs, ShardObs, ShardStats,
 };
-use crate::shard::{FleetEvent, PremisesSeed, RecordMeta, ShardMsg, ShardWorker, Stored};
+use crate::shard::{
+    parse_image_file, FleetEvent, PremisesSeed, RecordMeta, ShardMsg, ShardWorker, Stored,
+};
 use crate::supervisor::{Admission, ShedReason};
 use crate::wire::WireTrace;
 
@@ -890,7 +892,11 @@ impl Fleet {
         // Journal entries grouped per premises, filtered to
         // epoch > watermark, ordered by epoch.
         let mut pending: HashMap<u64, Vec<crate::journal::JournalEntry>> = HashMap::new();
-        for entry in read_all_journals(&dir)? {
+        let journal = read_all_journals(&dir).map_err(|e| match e.kind() {
+            std::io::ErrorKind::InvalidData => FleetError::Corrupt(e.to_string()),
+            _ => e.into(),
+        })?;
+        for entry in journal {
             pending.entry(entry.premises_id).or_default().push(entry);
         }
         let mut seeds = Vec::with_capacity(manifest.premises.len());
@@ -1022,22 +1028,16 @@ fn snapshot_all(txs: &[Sender<ShardMsg>], dir: &PathBuf) -> Result<(), FleetErro
     Ok(())
 }
 
-/// Parses `premises-{id}-{epoch}.json` into `(id, epoch)`.
-fn parse_snapshot_name(name: &str) -> Option<(u64, u64)> {
-    let stem = name.strip_prefix("premises-")?.strip_suffix(".json")?;
-    let (id, epoch) = stem.rsplit_once('-')?;
-    Some((id.parse().ok()?, epoch.parse().ok()?))
-}
-
-/// Deletes snapshot files the committed manifest has superseded — each
-/// spill/snapshot writes fresh `premises-{id}-{epoch}.json` files, and
-/// without this sweep a long-running fleet grows its durability
-/// directory without bound. A file is removed only when the manifest
-/// holds a *newer* image of the same premises (parsed epoch below the
-/// committed watermark, name not the referenced file): spill files
-/// written concurrently by the shards carry epochs at or past the
-/// watermarks just committed and are left alone, as is anything that
-/// does not parse as a per-premises snapshot (e.g. a shared seed file).
+/// Deletes images the committed manifest has superseded — each
+/// spill/snapshot writes a fresh image (`premises-{id}-{epoch}.bin`, see
+/// [`image_file`](crate::shard::image_file)), and without this sweep
+/// a long-running fleet grows its durability directory without bound.
+/// A file is removed only when the manifest holds a *newer* image of the
+/// same premises (parsed epoch below the committed watermark, name not
+/// the referenced file): spill files written concurrently by the shards
+/// carry epochs at or past the watermarks just committed and are left
+/// alone, as is anything that does not parse as an image name (e.g. a
+/// shared JSON seed).
 /// Best-effort: a leftover file is only wasted space, never a
 /// correctness problem, and the rename commit guarantees nothing still
 /// referenced is ever deleted.
@@ -1051,7 +1051,7 @@ fn gc_snapshots(dir: &PathBuf, manifest: &FleetManifest) {
     for entry in read.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let Some((premises_id, epoch)) = parse_snapshot_name(name) else { continue };
+        let Some((premises_id, epoch)) = parse_image_file(name) else { continue };
         let Some(&(kept, watermark)) = index.get(&premises_id) else { continue };
         if name != kept && epoch < watermark {
             let _ = std::fs::remove_file(entry.path());
@@ -1063,6 +1063,7 @@ fn gc_snapshots(dir: &PathBuf, manifest: &FleetManifest) {
 mod tests {
     use super::*;
     use crate::monitor::{Event, MonitorConfig};
+    use crate::shard::image_file;
     use gem_core::{Gem, GemConfig};
     use gem_rfsim::{Scenario, ScenarioConfig};
 
@@ -1277,6 +1278,94 @@ mod tests {
     }
 
     #[test]
+    fn recovery_drops_a_torn_journal_tail_but_refuses_earlier_corruption() {
+        let dir = std::env::temp_dir().join("gem_fleet_recover_corrupt_journal");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (monitors, streams) = fleet_monitors(1);
+        let id = monitors[0].0;
+        let cfg = FleetConfig {
+            shards: 1,
+            max_batch: 2,
+            dir: Some(dir.clone()),
+            ..FleetConfig::default()
+        };
+        // Two journaled epochs past the spawn manifest, then a crash.
+        let fleet = Fleet::spawn(monitors, cfg.clone()).unwrap();
+        for chunk in streams[0].chunks(2).take(2) {
+            fleet.pause();
+            for record in chunk {
+                assert!(fleet.submit(id, record.clone()).accepted());
+            }
+            fleet.flush().unwrap();
+            fleet.resume();
+        }
+        fleet.abort();
+        let path = dir.join(crate::journal::journal_file(0));
+        let journal = std::fs::read(&path).unwrap();
+        let first_frame =
+            crate::wire::HEADER_LEN + u32::from_le_bytes(journal[..4].try_into().unwrap()) as usize;
+        assert!(first_frame < journal.len(), "two frames expected");
+
+        // One flipped payload byte in the first frame: the second frame's
+        // acknowledged epoch follows it, so recovery must refuse rather
+        // than silently drop it.
+        let mut corrupt = journal.clone();
+        corrupt[first_frame - 1] ^= 0x40;
+        std::fs::write(&path, &corrupt).unwrap();
+        match Fleet::recover(cfg.clone()) {
+            Err(FleetError::Corrupt(msg)) => assert!(msg.contains("corrupt frame"), "{msg}"),
+            Err(e) => panic!("expected FleetError::Corrupt, got {e}"),
+            Ok(_) => panic!("expected FleetError::Corrupt, recovery succeeded"),
+        }
+
+        // A torn final frame is the crash case: dropped, the rest replays.
+        std::fs::write(&path, &journal[..journal.len() - 3]).unwrap();
+        let recovery = Fleet::recover(cfg).unwrap();
+        assert_eq!(recovery.replayed_epochs, 1);
+        recovery.fleet.abort();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_collects_superseded_images_and_never_a_shared_seed() {
+        let dir = std::env::temp_dir().join("gem_fleet_gc_images");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let entry = |premises_id: u64, file: &str, epochs: u64| PremisesEntry {
+            premises_id,
+            snapshot_file: file.into(),
+            snapshot_checksum: "0".repeat(16),
+            epochs,
+            sidecar: serde::Value::Null,
+        };
+        let manifest = FleetManifest::new(vec![
+            entry(1, &image_file(1, 5), 5),
+            entry(2, "seed.json", 0),
+            entry(3, "seed.json", 0),
+        ]);
+        // Only the first is collected: superseded by premises 1's epoch-5
+        // image. The others are that referenced image, a spill written
+        // past the commit, the shared JSON seed, a JSON file that is no
+        // image name, and an image of a premises the manifest lacks.
+        let files = [
+            image_file(1, 0),
+            image_file(1, 5),
+            image_file(1, 7),
+            "seed.json".to_string(),
+            "premises-2-0.json".to_string(),
+            image_file(9, 0),
+        ];
+        for f in &files {
+            std::fs::write(dir.join(f), b"x").unwrap();
+        }
+        gc_snapshots(&dir, &manifest);
+        for f in &files {
+            assert_eq!(dir.join(f).exists(), *f != image_file(1, 0), "{f}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn snapshot_and_recover_resume_bitwise() {
         let dir = std::env::temp_dir().join("gem_fleet_recover_test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1332,7 +1421,7 @@ mod tests {
                     .unwrap()
                     .flatten()
                     .filter_map(|e| e.file_name().into_string().ok())
-                    .filter(|n| n.starts_with("premises-") && n.ends_with(".json"))
+                    .filter(|n| parse_image_file(n).is_some())
                     .collect();
                 assert_eq!(snapshots.len(), 2, "stale snapshots must be GC'd: {snapshots:?}");
             }

@@ -1,15 +1,22 @@
 //! Write-ahead journal for fleet decision epochs.
 //!
-//! Each shard appends one line per decision epoch *before* processing it:
-//! `<fnv1a64-hex> <compact-json>\n`. The JSON is a [`JournalEntry`] — the
-//! premises, the epoch number and the exact records in the batch. Replay
-//! after a crash re-runs `Monitor::process_batch` on the recorded
-//! batches, which reproduces the uninterrupted decision stream bit for
-//! bit (model updates and the RNG stream are resumed from the snapshot).
+//! Each shard appends one frame per decision epoch *before* processing
+//! it. Frames use the wire protocol's header — `u32` LE payload length,
+//! `u64` LE [`fnv1a64`] of the payload — around a [`JournalEntry`] (the
+//! premises, the epoch number and the exact records in the batch) in the
+//! `serde::bin` layout. Replay after a crash re-runs
+//! `Monitor::process_batch` on the recorded batches, which reproduces the
+//! uninterrupted decision stream bit for bit (model updates and the RNG
+//! stream are resumed from the snapshot).
 //!
-//! The reader is truncation-tolerant: a torn or corrupt tail line (the
-//! crash case an append-only log actually produces) ends the scan
-//! instead of failing recovery.
+//! The reader follows the wire's torn-versus-clean-EOF rule. A file that
+//! ends exactly at a frame boundary is clean. A bad or incomplete *final*
+//! frame is a torn tail — the crash case an append-only log actually
+//! produces — and is dropped, as is a bad frame followed only by zero
+//! bytes (a file system may extend a file before the data of an
+//! unsynced append reaches the disk). A bad frame with other bytes
+//! after it is corruption of already-acknowledged epochs and fails the
+//! read ([`io::ErrorKind::InvalidData`]) instead of silently truncating.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -18,10 +25,11 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use gem_core::fnv1a64_hex;
+use gem_core::fnv1a64;
 use gem_signal::SignalRecord;
 
 use crate::obs::JournalObs;
+use crate::wire::{seal_frame, HEADER_LEN};
 
 /// One journaled decision epoch: the replay unit.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -38,6 +46,14 @@ pub struct JournalEntry {
 /// Journal filename for one shard.
 pub fn journal_file(shard: usize) -> String {
     format!("journal-shard-{shard}.log")
+}
+
+/// Appends one journal frame for `entry` to `buf`; returns its length.
+fn encode_frame(entry: &JournalEntry, buf: &mut Vec<u8>) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; HEADER_LEN]);
+    entry.encode(buf);
+    seal_frame(buf, start)
 }
 
 /// Append-side handle, owned by a shard.
@@ -84,10 +100,9 @@ impl JournalWriter {
     /// processed. Returns the bytes appended.
     pub fn append_nosync(&mut self, entry: &JournalEntry) -> io::Result<usize> {
         let timed = self.obs.as_ref().filter(|o| o.enabled).map(|_| Instant::now());
-        let json = serde_json::to_string(entry).map_err(|e| io::Error::other(e.to_string()))?;
-        // checksum (16 hex) + space + json + newline
-        let bytes = 16 + 1 + json.len() + 1;
-        writeln!(self.file, "{} {}", fnv1a64_hex(json.as_bytes()), json)?;
+        let mut frame = Vec::new();
+        let bytes = encode_frame(entry, &mut frame);
+        self.file.write_all(&frame)?;
         if let (Some(obs), Some(start)) = (&self.obs, timed) {
             obs.append_seconds.record(elapsed_ns(start));
         }
@@ -107,15 +122,6 @@ impl JournalWriter {
         if let (Some(obs), Some(start)) = (&self.obs, timed) {
             obs.fsync_seconds.record(elapsed_ns(start));
         }
-        Ok(())
-    }
-
-    /// Empties the journal. Only safe after every entry has been folded
-    /// into a committed manifest (the fleet truncates post-commit, with
-    /// the shard quiescent).
-    pub fn reset(&mut self) -> io::Result<()> {
-        let file = OpenOptions::new().create(true).write(true).truncate(true).open(&self.path)?;
-        self.file = BufWriter::new(file);
         Ok(())
     }
 
@@ -158,16 +164,14 @@ impl JournalWriter {
         let tmp = self.path.with_extension("log.tmp");
         let mut kept = 0usize;
         {
-            let file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
-            let mut w = BufWriter::new(file);
+            let mut bytes = Vec::new();
             for entry in entries.iter().filter(|e| keep(e)) {
-                let json =
-                    serde_json::to_string(entry).map_err(|e| io::Error::other(e.to_string()))?;
-                writeln!(w, "{} {}", fnv1a64_hex(json.as_bytes()), json)?;
+                encode_frame(entry, &mut bytes);
                 kept += 1;
             }
-            w.flush()?;
-            w.get_ref().sync_data()?;
+            let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
+            file.write_all(&bytes)?;
+            file.sync_data()?;
         }
         fs::rename(&tmp, &self.path)?;
         self.file = BufWriter::new(OpenOptions::new().create(true).append(true).open(&self.path)?);
@@ -180,24 +184,45 @@ fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Reads one journal file. Lines with a checksum mismatch or malformed
-/// JSON end the scan (torn tail); everything before them is returned.
+/// Reads one journal file (a missing file is an empty journal). A bad
+/// or incomplete final frame, or a bad frame followed only by zero
+/// bytes, is a torn tail and is dropped; a bad frame with other bytes
+/// after it fails the read with [`io::ErrorKind::InvalidData`].
 pub fn read_journal(path: impl AsRef<Path>) -> io::Result<Vec<JournalEntry>> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
+    let path = path.as_ref();
+    let bytes = match fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
     let mut entries = Vec::new();
-    for line in text.lines() {
-        let Some((checksum, json)) = line.split_once(' ') else { break };
-        if fnv1a64_hex(json.as_bytes()) != checksum {
-            break;
+    let mut at = 0usize;
+    while at < bytes.len() {
+        let rest = &bytes[at..];
+        let Some(header) = rest.get(..HEADER_LEN) else { break };
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let checksum = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+        let end = HEADER_LEN.saturating_add(len);
+        // The file ends inside this frame: a torn append.
+        let Some(payload) = rest.get(HEADER_LEN..end) else { break };
+        let entry = (fnv1a64(payload) == checksum)
+            .then(|| serde::bin::from_bytes::<JournalEntry>(payload).ok())
+            .flatten();
+        match entry {
+            Some(entry) => entries.push(entry),
+            None if rest[end..].iter().all(|&b| b == 0) => break,
+            None => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "journal {}: corrupt frame at byte {at} with {} bytes after it",
+                        path.display(),
+                        rest.len() - end
+                    ),
+                ))
+            }
         }
-        match serde_json::from_str::<JournalEntry>(json) {
-            Ok(entry) => entries.push(entry),
-            Err(_) => break,
-        }
+        at += end;
     }
     Ok(entries)
 }
@@ -277,17 +302,68 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_log() {
-        let dir = std::env::temp_dir().join("gem_journal_reset");
+    fn bad_final_frame_is_a_torn_tail() {
+        let dir = std::env::temp_dir().join("gem_journal_bad_tail");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(journal_file(3));
+        let path = dir.join(journal_file(0));
         let mut w = JournalWriter::open(&path).unwrap();
-        w.append(&entry(1, 1)).unwrap();
-        w.reset().unwrap();
-        assert!(read_journal(&path).unwrap().is_empty());
-        w.append(&entry(1, 2)).unwrap();
-        assert_eq!(read_journal(&path).unwrap(), vec![entry(1, 2)]);
+        w.append(&entry(7, 1)).unwrap();
+        w.append(&entry(7, 2)).unwrap();
+        // A complete final frame whose payload no longer matches its
+        // checksum is dropped like a short one.
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_journal(&path).unwrap(), vec![entry(7, 1)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_filled_tail_is_torn() {
+        let dir = std::env::temp_dir().join("gem_journal_zero_tail");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(journal_file(0));
+        let mut w = JournalWriter::open(&path).unwrap();
+        w.append(&entry(7, 1)).unwrap();
+        w.append(&entry(7, 2)).unwrap();
+        let clean = fs::read(&path).unwrap();
+        let first = HEADER_LEN + u32::from_le_bytes(clean[..4].try_into().unwrap()) as usize;
+        // A tail of zeros where unsynced appends were, starting at a frame
+        // boundary or inside the second frame.
+        for zero_from in [first, first + 5, clean.len() - 1] {
+            let mut bytes = clean.clone();
+            bytes[zero_from..].fill(0);
+            bytes.extend_from_slice(&[0; 40]);
+            fs::write(&path, &bytes).unwrap();
+            assert_eq!(read_journal(&path).unwrap(), vec![entry(7, 1)], "zeros from {zero_from}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corruption_before_the_tail_is_an_error() {
+        let dir = std::env::temp_dir().join("gem_journal_corrupt_mid");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(journal_file(0));
+        let mut w = JournalWriter::open(&path).unwrap();
+        for epoch in 1..=3 {
+            w.append(&entry(7, epoch)).unwrap();
+        }
+        let clean = fs::read(&path).unwrap();
+        // A flipped byte in the middle frame, and a byte that is not
+        // UTF-8 (the text journal failed the whole read on one): both
+        // sit before acknowledged epochs, so the read must fail loudly.
+        for (at, value) in [(clean.len() / 2, None), (HEADER_LEN + 3, Some(0xFF))] {
+            let mut bytes = clean.clone();
+            bytes[at] = value.unwrap_or(bytes[at] ^ 0x10);
+            fs::write(&path, &bytes).unwrap();
+            let err = read_journal(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,11 +14,12 @@
 //! session is either *hot* (its [`Monitor`] is in memory) or *cold*
 //! (its model lives in a snapshot file; only the ~100-byte
 //! [`MonitorState`] sidecar and bookkeeping stay resident). A cold
-//! premises is hydrated bitwise on its next record — snapshot load,
+//! premises is hydrated bitwise on its next record — image load,
 //! checksum verify, and watermark-filtered journal replay — inside the
 //! drain loop, so routing and admission never notice the tier. When a
 //! hot cap is set, the least-recently-decided idle premises are spilled
-//! back to disk after each drain pass. Spill writes are *not* synced
+//! back to disk after each drain pass, as binary images ([`image_file`]).
+//! Spill writes are *not* synced
 //! individually: the next incremental snapshot round group-commits them
 //! (syncs the files, then commits the manifest that references them),
 //! and until then the journal remains the only durable copy of those
@@ -75,6 +76,52 @@ pub(crate) struct RecordMeta {
     pub(crate) ingress_ns: u64,
     /// When the record entered the shard queue.
     pub(crate) enqueued: Instant,
+}
+
+/// Extension of the binary premises images spills and snapshot rounds
+/// write.
+const IMAGE_EXT: &str = ".bin";
+
+/// `premises-{id}-{epoch}.bin`: the image holding one premises' model
+/// through `epoch`. Built here and parsed only by [`parse_image_file`],
+/// so the writers and the sweep of superseded images agree on the name.
+pub(crate) fn image_file(premises_id: u64, epoch: u64) -> String {
+    format!("premises-{premises_id}-{epoch}{IMAGE_EXT}")
+}
+
+/// Parses an [`image_file`] name into `(premises_id, epoch)`; `None` for
+/// any other file (the manifest, journals, a shared JSON seed).
+pub(crate) fn parse_image_file(name: &str) -> Option<(u64, u64)> {
+    let stem = name.strip_prefix("premises-")?.strip_suffix(IMAGE_EXT)?;
+    let (id, epoch) = stem.split_once('-')?;
+    Some((id.parse().ok()?, epoch.parse().ok()?))
+}
+
+/// Writes one premises' binary image through `epoch` into `dir` and
+/// returns its durable record. `sync` makes the write durable before a
+/// manifest references it; a spill writes buffered and leaves the sync
+/// to the next snapshot round's group commit.
+fn write_image(
+    dir: &Path,
+    premises_id: u64,
+    epoch: u64,
+    monitor: &Monitor,
+    sync: bool,
+) -> std::io::Result<Stored> {
+    let file = image_file(premises_id, epoch);
+    let image = GemSnapshot::capture(monitor.gem()).to_image();
+    let mut f = std::fs::File::create(dir.join(&file))?;
+    f.write_all(&image)?;
+    if sync {
+        f.sync_data()?;
+    }
+    Ok(Stored {
+        checksum: fnv1a64_hex(&image),
+        file,
+        epochs: epoch,
+        state: monitor.state(),
+        synced: sync,
+    })
 }
 
 /// The durable image of one premises: which snapshot file holds its
@@ -789,7 +836,7 @@ impl ShardWorker {
         self.obs.trace(event);
     }
 
-    /// Makes a cold premises resident: snapshot load, checksum verify,
+    /// Makes a cold premises resident: image load, checksum verify,
     /// [`Monitor::from_state`] with the stored sidecar, then bitwise
     /// journal replay of any epochs decided past the stored image.
     /// Instruments are re-attached without re-seeding — the registry
@@ -819,10 +866,7 @@ impl ShardWorker {
             self.id,
             stored.file
         );
-        let json = String::from_utf8(bytes).unwrap_or_else(|e| {
-            panic!("shard {}: snapshot {} is not UTF-8: {e}", self.id, stored.file)
-        });
-        let gem = GemSnapshot::from_json(&json)
+        let gem = GemSnapshot::from_image(&bytes)
             .and_then(|s| s.restore())
             .unwrap_or_else(|e| panic!("shard {}: restoring {} failed: {e}", self.id, stored.file));
         let mut monitor = Monitor::from_state(gem, stored.state);
@@ -918,9 +962,8 @@ impl ShardWorker {
         if !clean {
             let session = &self.sessions[&premises_id];
             let Residency::Hot(monitor) = &session.residency else { unreachable!() };
-            let file = format!("premises-{premises_id}-{epoch}.json");
-            let json = match GemSnapshot::capture(monitor.gem()).to_json() {
-                Ok(j) => j,
+            match write_image(&dir, premises_id, epoch, monitor, false) {
+                Ok(stored) => new_stored = Some(stored),
                 Err(e) => {
                     self.obs.trace(
                         TraceEvent::new("spill_error")
@@ -929,22 +972,7 @@ impl ShardWorker {
                     );
                     return false;
                 }
-            };
-            if let Err(e) = std::fs::write(dir.join(&file), json.as_bytes()) {
-                self.obs.trace(
-                    TraceEvent::new("spill_error")
-                        .with("premises", premises_id)
-                        .with("error", e.to_string()),
-                );
-                return false;
             }
-            new_stored = Some(Stored {
-                checksum: fnv1a64_hex(json.as_bytes()),
-                file,
-                epochs: epoch,
-                state: monitor.state(),
-                synced: false,
-            });
         }
         let session = self.sessions.get_mut(&premises_id).expect("known premises");
         if let Some(stored) = new_stored {
@@ -1055,24 +1083,10 @@ impl ShardWorker {
         if let Residency::Hot(monitor) = &session.residency {
             let dirty = session.stored.as_ref().is_none_or(|s| s.epochs < session.epoch);
             if dirty {
-                let file = format!("premises-{premises_id}-{}.json", session.epoch);
-                let json =
-                    GemSnapshot::capture(monitor.gem()).to_json().map_err(|e| e.to_string())?;
-                // Sync before the manifest commit references it: a
+                // Synced before the manifest commit references it: a
                 // power loss after the rename must find these bytes.
-                let write_synced = || -> std::io::Result<()> {
-                    let mut f = std::fs::File::create(dir.join(&file))?;
-                    f.write_all(json.as_bytes())?;
-                    f.sync_data()
-                };
-                write_synced().map_err(|e| e.to_string())?;
-                let stored = Stored {
-                    checksum: fnv1a64_hex(json.as_bytes()),
-                    file,
-                    epochs: session.epoch,
-                    state: monitor.state(),
-                    synced: true,
-                };
+                let stored = write_image(dir, premises_id, session.epoch, monitor, true)
+                    .map_err(|e| e.to_string())?;
                 session.last_durable = Some(stored.clone());
                 session.stored = Some(stored);
             }

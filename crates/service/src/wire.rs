@@ -1,8 +1,8 @@
 //! Binary wire protocol for the network ingress.
 //!
 //! Every frame is length-prefixed and checksummed with the workspace's
-//! durability hash (FNV-1a 64, the same primitive that guards journal
-//! lines and snapshot files):
+//! durability hash (FNV-1a 64, the same primitive that guards snapshot
+//! images; the journal stores its entries in this same frame):
 //!
 //! ```text
 //! offset 0   u32 LE   payload length N (1 ..= negotiated max)
@@ -29,9 +29,10 @@
 //! The decoder is strict: a declared length outside bounds, a checksum
 //! mismatch, an unknown kind byte, or trailing payload bytes all reject
 //! the frame (and, at the ingress, the connection). Record payloads are
-//! parsed directly out of the connection's read buffer — one `Vec` for
-//! the readings, no intermediate serde tree — so a frame becomes a
-//! shard submit call with a single copy.
+//! parsed directly out of the connection's read buffer with the binary
+//! codec's strict reader (`serde::bin::Reader`) — one `Vec` for the
+//! readings, no intermediate serde tree — so a frame becomes a shard
+//! submit call with a single copy.
 //!
 //! The RECORD frame's trace-context tail ([`WireTrace`]: 16 extra
 //! bytes after the readings) is the protocol's one optional field: a
@@ -43,6 +44,8 @@
 //! like every other payload byte.
 
 use std::io::{Read, Write};
+
+use serde::bin::Reader;
 
 use gem_core::fnv1a64;
 use gem_signal::{MacAddr, Reading, SignalRecord};
@@ -329,8 +332,15 @@ pub fn encode(frame: &Frame, buf: &mut Vec<u8>) -> usize {
             buf.extend_from_slice(&consecutive_out.to_le_bytes());
         }
     }
+    seal_frame(buf, start)
+}
+
+/// Fills in the header reserved at `buf[start..start + HEADER_LEN]` for
+/// the payload that runs from behind it to the end of `buf`. Returns the
+/// whole frame's length.
+pub(crate) fn seal_frame(buf: &mut [u8], start: usize) -> usize {
     let payload = &buf[start + HEADER_LEN..];
-    let len = payload.len() as u32;
+    let len = u32::try_from(payload.len()).expect("frame payload over u32::MAX bytes");
     let checksum = fnv1a64(payload);
     buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
     buf[start + 4..start + HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
@@ -346,91 +356,52 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame, buf: &mut Vec<u8>) -> std:
     Ok(n)
 }
 
-/// A strict little-endian payload cursor.
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
+/// Names the payload field a codec read failed on.
+trait Field<T> {
+    fn field(self, what: &'static str) -> Result<T, WireError>;
 }
 
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        let end = self.i.checked_add(n).ok_or(WireError::BadPayload(what))?;
-        if end > self.b.len() {
-            return Err(WireError::BadPayload(what));
-        }
-        let s = &self.b[self.i..end];
-        self.i = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self, what: &'static str) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.i == self.b.len() {
-            Ok(())
-        } else {
-            Err(WireError::BadPayload("trailing bytes"))
-        }
+impl<T> Field<T> for Result<T, serde::Error> {
+    fn field(self, what: &'static str) -> Result<T, WireError> {
+        self.map_err(|_| WireError::BadPayload(what))
     }
 }
 
 /// Decodes one payload (checksum already verified) into a [`Frame`].
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
-    let mut c = Cur { b: payload, i: 0 };
-    let kind = c.u8("kind byte")?;
+    let mut c = Reader::new(payload);
+    let kind = c.u8().field("kind byte")?;
     let frame = match kind {
-        KIND_HELLO => {
-            Frame::Hello { version: c.u8("hello version")?, credits: c.u16("hello credits")? }
-        }
+        KIND_HELLO => Frame::Hello {
+            version: c.u8().field("hello version")?,
+            credits: c.u16().field("hello credits")?,
+        },
         KIND_RECORD => {
-            let premises_id = c.u64("record premises")?;
-            let timestamp_s = c.f64("record timestamp")?;
-            let n = c.u16("record reading count")? as usize;
+            let premises_id = c.u64().field("record premises")?;
+            let timestamp_s = c.f64().field("record timestamp")?;
+            let n = c.u16().field("record reading count")? as usize;
             // Cheap structural bound before allocating: each reading is
             // 12 bytes, and after them the payload either ends (an
             // untraced frame — the pre-tracing layout) or carries
             // exactly one 16-byte trace context. Anything else rejects.
-            let rest = payload.len() - c.i;
-            let has_trace = match rest.checked_sub(n * 12) {
+            let has_trace = match c.remaining().checked_sub(n * 12) {
                 Some(0) => false,
                 Some(16) => true,
                 _ => return Err(WireError::BadPayload("record reading bytes")),
             };
             let mut record = SignalRecord { timestamp_s, readings: Vec::with_capacity(n) };
             for _ in 0..n {
-                let mac = c.u64("reading mac")?;
+                let mac = c.u64().field("reading mac")?;
                 if mac & !MacAddr::MASK != 0 {
                     return Err(WireError::BadPayload("mac above 48 bits"));
                 }
-                let rssi = c.f32("reading rssi")?;
+                let rssi = c.f32().field("reading rssi")?;
                 record.readings.push(Reading { mac: MacAddr::from_raw(mac), rssi });
             }
             let trace = if has_trace {
                 Some(WireTrace {
-                    trace_id: c.u64("trace id")?,
-                    parent_span: c.u64("trace parent span")?,
+                    trace_id: c.u64().field("trace id")?,
+                    parent_span: c.u64().field("trace parent span")?,
                 })
             } else {
                 None
@@ -438,10 +409,10 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
             Frame::Record { premises_id, record, trace }
         }
         KIND_ACK => {
-            let premises_id = c.u64("ack premises")?;
-            let v = c.u8("ack verdict")?;
-            let reason = c.u8("ack reason")?;
-            let depth = c.u32("ack depth")?;
+            let premises_id = c.u64().field("ack premises")?;
+            let v = c.u8().field("ack verdict")?;
+            let reason = c.u8().field("ack reason")?;
+            let depth = c.u32().field("ack depth")?;
             let verdict = match v {
                 0 => WireVerdict::Accept,
                 1 => WireVerdict::Queued { depth },
@@ -451,21 +422,21 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
             Frame::Ack { premises_id, verdict }
         }
         KIND_DECISION => Frame::Decision {
-            premises_id: c.u64("decision premises")?,
-            inside: c.u8("decision label")? != 0,
-            timestamp_s: c.f64("decision timestamp")?,
-            score: c.f64("decision score")?,
-            latency_s: c.f64("decision latency")?,
+            premises_id: c.u64().field("decision premises")?,
+            inside: c.u8().field("decision label")? != 0,
+            timestamp_s: c.f64().field("decision timestamp")?,
+            score: c.f64().field("decision score")?,
+            latency_s: c.f64().field("decision latency")?,
         },
         KIND_ALERT => Frame::Alert {
-            premises_id: c.u64("alert premises")?,
-            raised: c.u8("alert state")? != 0,
-            timestamp_s: c.f64("alert timestamp")?,
-            consecutive_out: c.u32("alert consecutive")?,
+            premises_id: c.u64().field("alert premises")?,
+            raised: c.u8().field("alert state")? != 0,
+            timestamp_s: c.f64().field("alert timestamp")?,
+            consecutive_out: c.u32().field("alert consecutive")?,
         },
         other => return Err(WireError::BadKind(other)),
     };
-    c.done()?;
+    c.finish().field("trailing bytes")?;
     Ok(frame)
 }
 

@@ -16,8 +16,9 @@
 //! - the **binary image** ([`GemSnapshot::to_image`]): `IMAGE_MAGIC`,
 //!   a `u32` codec version, then the snapshot's fields in the
 //!   `serde::bin` layout. It is what the fleet writes when it spills or
-//!   snapshots a premises — about a third the size of the JSON and
-//!   decoded with no intermediate tree.
+//!   snapshots a premises (only the base image of a premises the fleet
+//!   spawned hot is the JSON export) — about a third the size of the
+//!   JSON and decoded with no intermediate tree.
 //!
 //! [`GemSnapshot::from_image`] reads either, told apart by the leading
 //! byte. The [`FleetManifest`] is binary too; checksums live in the

@@ -31,7 +31,7 @@
 //!   hydrate bitwise on their next record. RSS then tracks the hot
 //!   tier, not the tenant count.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -1029,31 +1029,31 @@ fn snapshot_all(txs: &[Sender<ShardMsg>], dir: &PathBuf) -> Result<(), FleetErro
 }
 
 /// Deletes images the committed manifest has superseded — each
-/// spill/snapshot writes a fresh image (`premises-{id}-{epoch}.bin`, see
+/// spill/snapshot writes a fresh image (`premises-{id}-{epoch}.bin`, or
+/// `.json` for a spawn-time base image, see
 /// [`image_file`](crate::shard::image_file)), and without this sweep
 /// a long-running fleet grows its durability directory without bound.
 /// A file is removed only when the manifest holds a *newer* image of the
-/// same premises (parsed epoch below the committed watermark, name not
-/// the referenced file): spill files written concurrently by the shards
+/// same premises (parsed epoch below the committed watermark) and no
+/// entry references it: spill files written concurrently by the shards
 /// carry epochs at or past the watermarks just committed and are left
-/// alone, as is anything that does not parse as an image name (e.g. a
-/// shared JSON seed).
+/// alone, as is a seed image entries share and anything that does not
+/// parse as an image name (e.g. `seed.json`).
 /// Best-effort: a leftover file is only wasted space, never a
 /// correctness problem, and the rename commit guarantees nothing still
 /// referenced is ever deleted.
 fn gc_snapshots(dir: &PathBuf, manifest: &FleetManifest) {
-    let index: HashMap<u64, (&str, u64)> = manifest
-        .premises
-        .iter()
-        .map(|e| (e.premises_id, (e.snapshot_file.as_str(), e.epochs)))
-        .collect();
+    let watermarks: HashMap<u64, u64> =
+        manifest.premises.iter().map(|e| (e.premises_id, e.epochs)).collect();
+    let referenced: HashSet<&str> =
+        manifest.premises.iter().map(|e| e.snapshot_file.as_str()).collect();
     let Ok(read) = std::fs::read_dir(dir) else { return };
     for entry in read.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let Some((premises_id, epoch)) = parse_image_file(name) else { continue };
-        let Some(&(kept, watermark)) = index.get(&premises_id) else { continue };
-        if name != kept && epoch < watermark {
+        let superseded = watermarks.get(&premises_id).is_some_and(|&w| epoch < w);
+        if superseded && !referenced.contains(name) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
@@ -1302,9 +1302,9 @@ mod tests {
         fleet.abort();
         let path = dir.join(crate::journal::journal_file(0));
         let journal = std::fs::read(&path).unwrap();
-        let first_frame =
-            crate::wire::HEADER_LEN + u32::from_le_bytes(journal[..4].try_into().unwrap()) as usize;
-        assert!(first_frame < journal.len(), "two frames expected");
+        let (_, _, after) = crate::wire::open_frame(&journal).unwrap();
+        let first_frame = journal.len() - after.len();
+        assert!(!after.is_empty(), "two frames expected");
 
         // One flipped payload byte in the first frame: the second frame's
         // acknowledged epoch follows it, so recovery must refuse rather
@@ -1327,6 +1327,66 @@ mod tests {
     }
 
     #[test]
+    fn recovery_after_a_torn_tail_appends_recoverably() {
+        let dir = std::env::temp_dir().join("gem_fleet_recover_torn_append");
+        let cfg = FleetConfig {
+            shards: 1,
+            max_batch: 2,
+            dir: Some(dir.clone()),
+            ..FleetConfig::default()
+        };
+        let (_, streams) = fleet_monitors(1);
+        let decide = |fleet: &Fleet, id: u64, chunks: std::ops::Range<usize>| -> Vec<Event> {
+            let mut events = Vec::new();
+            for chunk in streams[0].chunks(2).skip(chunks.start).take(chunks.len()) {
+                fleet.pause();
+                for record in chunk {
+                    assert!(fleet.submit(id, record.clone()).accepted());
+                }
+                fleet.flush().unwrap();
+                events.extend(drain_events(fleet).into_iter().map(|e| e.event));
+                fleet.resume();
+            }
+            events
+        };
+        // A short final frame, and zeros where unsynced appends were.
+        for zero_tail in [false, true] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (monitors, _) = fleet_monitors(1);
+            let id = monitors[0].0;
+            let fleet = Fleet::spawn(monitors, cfg.clone()).unwrap();
+            let live = decide(&fleet, id, 0..2);
+            fleet.abort();
+            let path = dir.join(crate::journal::journal_file(0));
+            let mut journal = std::fs::read(&path).unwrap();
+            if zero_tail {
+                journal.extend_from_slice(&[0; 64]);
+            } else {
+                journal.truncate(journal.len() - 3);
+            }
+            std::fs::write(&path, &journal).unwrap();
+
+            let recovery = Fleet::recover(cfg.clone()).unwrap();
+            let kept = if zero_tail { 2 } else { 1 };
+            assert_eq!(recovery.replayed_epochs, kept as u64);
+            let mut expected: Vec<Event> =
+                recovery.replayed.iter().map(|e| e.event.clone()).collect();
+            assert!(live.starts_with(&expected), "replay must match the crashed fleet");
+            // The recovered fleet journals two more epochs behind the
+            // intact ones, then crashes again.
+            expected.extend(decide(&recovery.fleet, id, kept..kept + 2));
+            recovery.fleet.abort();
+
+            let again = Fleet::recover(cfg.clone()).unwrap();
+            assert_eq!(again.replayed_epochs, kept as u64 + 2, "zero tail: {zero_tail}");
+            let replayed: Vec<Event> = again.replayed.iter().map(|e| e.event.clone()).collect();
+            assert_eq!(replayed, expected, "zero tail: {zero_tail}");
+            again.fleet.abort();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn gc_collects_superseded_images_and_never_a_shared_seed() {
         let dir = std::env::temp_dir().join("gem_fleet_gc_images");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1339,28 +1399,36 @@ mod tests {
             sidecar: serde::Value::Null,
         };
         let manifest = FleetManifest::new(vec![
-            entry(1, &image_file(1, 5), 5),
+            entry(1, &image_file(1, 5, false), 5),
             entry(2, "seed.json", 0),
             entry(3, "seed.json", 0),
+            entry(4, &image_file(5, 0, true), 0),
+            entry(5, &image_file(5, 4, false), 4),
         ]);
-        // Only the first is collected: superseded by premises 1's epoch-5
-        // image. The others are that referenced image, a spill written
-        // past the commit, the shared JSON seed, a JSON file that is no
-        // image name, and an image of a premises the manifest lacks.
-        let files = [
-            image_file(1, 0),
-            image_file(1, 5),
-            image_file(1, 7),
+        // Collected: premises 1's spawn-time base image and an older
+        // spill, both superseded by its epoch-5 image.
+        let collected = [image_file(1, 0, true), image_file(1, 2, false)];
+        // Kept: the referenced image, a spill written past the commit,
+        // the shared JSON seed, a JSON file that is no image name, an
+        // image premises 5 has moved past but premises 4 still
+        // references, and an image of a premises the manifest lacks.
+        let kept = [
+            image_file(1, 5, false),
+            image_file(1, 7, false),
             "seed.json".to_string(),
-            "premises-2-0.json".to_string(),
-            image_file(9, 0),
+            "premises-2-seed.json".to_string(),
+            image_file(5, 0, true),
+            image_file(9, 0, false),
         ];
-        for f in &files {
+        for f in collected.iter().chain(&kept) {
             std::fs::write(dir.join(f), b"x").unwrap();
         }
         gc_snapshots(&dir, &manifest);
-        for f in &files {
-            assert_eq!(dir.join(f).exists(), *f != image_file(1, 0), "{f}");
+        for f in &collected {
+            assert!(!dir.join(f).exists(), "{f} should be collected");
+        }
+        for f in &kept {
+            assert!(dir.join(f).exists(), "{f} should be kept");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,21 +2,26 @@
 //!
 //! Each shard appends one frame per decision epoch *before* processing
 //! it. Frames use the wire protocol's header — `u32` LE payload length,
-//! `u64` LE [`fnv1a64`] of the payload — around a [`JournalEntry`] (the
-//! premises, the epoch number and the exact records in the batch) in the
-//! `serde::bin` layout. Replay after a crash re-runs
-//! `Monitor::process_batch` on the recorded batches, which reproduces the
-//! uninterrupted decision stream bit for bit (model updates and the RNG
-//! stream are resumed from the snapshot).
+//! `u64` LE [`fnv1a64`](gem_core::fnv1a64) of the payload — around a
+//! [`JournalEntry`] (the premises, the epoch number and the exact
+//! records in the batch) in the `serde::bin` layout. Replay after a
+//! crash re-runs `Monitor::process_batch` on the recorded batches, which
+//! reproduces the uninterrupted decision stream bit for bit (model
+//! updates and the RNG stream are resumed from the snapshot).
 //!
 //! The reader follows the wire's torn-versus-clean-EOF rule. A file that
 //! ends exactly at a frame boundary is clean. A bad or incomplete *final*
 //! frame is a torn tail — the crash case an append-only log actually
 //! produces — and is dropped, as is a bad frame followed only by zero
 //! bytes (a file system may extend a file before the data of an
-//! unsynced append reaches the disk). A bad frame with other bytes
-//! after it is corruption of already-acknowledged epochs and fails the
-//! read ([`io::ErrorKind::InvalidData`]) instead of silently truncating.
+//! unsynced append reaches the disk). Any other bad frame is corruption
+//! of already-acknowledged epochs and fails the read
+//! ([`io::ErrorKind::InvalidData`]) instead of silently truncating: a
+//! bad frame with other bytes after it, and a bad frame that merely
+//! *looks* torn while an intact frame starts somewhere after it (a
+//! damaged length field can point past the end of the file).
+//! [`JournalWriter::open`] cuts a torn tail off before appending, so new
+//! frames always follow the last intact one.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -25,11 +30,10 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use gem_core::fnv1a64;
 use gem_signal::SignalRecord;
 
 use crate::obs::JournalObs;
-use crate::wire::{seal_frame, HEADER_LEN};
+use crate::wire::{open_frame, seal_frame, HEADER_LEN};
 
 /// One journaled decision epoch: the replay unit.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -64,10 +68,19 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Opens (creating if needed) the journal in append mode.
+    /// Opens (creating if needed) the journal in append mode. A torn
+    /// tail a crash left behind is cut off and the cut synced first:
+    /// appending behind it would bury it mid-file, where it reads as
+    /// corruption. A journal corrupted before its tail fails with
+    /// [`io::ErrorKind::InvalidData`].
     pub fn open(path: impl Into<PathBuf>) -> io::Result<JournalWriter> {
         let path = path.into();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let (_, intact) = read_frames(&path)?;
+        if file.metadata()?.len() > intact {
+            file.set_len(intact)?;
+            file.sync_data()?;
+        }
         Ok(JournalWriter { path, file: BufWriter::new(file), obs: None })
     }
 
@@ -184,47 +197,48 @@ fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Reads one journal file (a missing file is an empty journal). A bad
-/// or incomplete final frame, or a bad frame followed only by zero
-/// bytes, is a torn tail and is dropped; a bad frame with other bytes
-/// after it fails the read with [`io::ErrorKind::InvalidData`].
+/// Reads one journal file (a missing file is an empty journal). A torn
+/// tail is dropped; any other bad frame fails the read with
+/// [`io::ErrorKind::InvalidData`] (see the module docs).
 pub fn read_journal(path: impl AsRef<Path>) -> io::Result<Vec<JournalEntry>> {
-    let path = path.as_ref();
+    read_frames(path.as_ref()).map(|(entries, _)| entries)
+}
+
+/// The entries of one journal file, and the length of the file's intact
+/// part: everything before a torn tail.
+fn read_frames(path: &Path) -> io::Result<(Vec<JournalEntry>, u64)> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e),
     };
     let mut entries = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        let rest = &bytes[at..];
-        let Some(header) = rest.get(..HEADER_LEN) else { break };
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let checksum = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
-        let end = HEADER_LEN.saturating_add(len);
-        // The file ends inside this frame: a torn append.
-        let Some(payload) = rest.get(HEADER_LEN..end) else { break };
-        let entry = (fnv1a64(payload) == checksum)
-            .then(|| serde::bin::from_bytes::<JournalEntry>(payload).ok())
-            .flatten();
-        match entry {
-            Some(entry) => entries.push(entry),
-            None if rest[end..].iter().all(|&b| b == 0) => break,
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "journal {}: corrupt frame at byte {at} with {} bytes after it",
-                        path.display(),
-                        rest.len() - end
-                    ),
-                ))
-            }
-        }
-        at += end;
+    let mut rest = &bytes[..];
+    while let Some((entry, after)) = intact_frame(rest) {
+        entries.push(entry);
+        rest = after;
     }
-    Ok(entries)
+    let at = bytes.len() - rest.len();
+    // Torn: the file ends inside this frame or only zeros follow it, and
+    // no intact frame starts anywhere after its first byte.
+    let torn = open_frame(rest).is_none_or(|(_, _, after)| after.iter().all(|&b| b == 0))
+        && (1..rest.len()).all(|i| intact_frame(&rest[i..]).is_none());
+    if !torn {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("journal {}: corrupt frame at byte {at} of {}", path.display(), bytes.len()),
+        ));
+    }
+    Ok((entries, at as u64))
+}
+
+/// The entry in the frame at the front of `bytes` and the bytes after
+/// it, if the frame is whole, matches its checksum and decodes.
+fn intact_frame(bytes: &[u8]) -> Option<(JournalEntry, &[u8])> {
+    match open_frame(bytes)? {
+        (true, payload, after) => Some((serde::bin::from_bytes(payload).ok()?, after)),
+        (false, ..) => None,
+    }
 }
 
 /// Reads every `journal-shard-*.log` in a durability directory, in
@@ -310,13 +324,18 @@ mod tests {
         let mut w = JournalWriter::open(&path).unwrap();
         w.append(&entry(7, 1)).unwrap();
         w.append(&entry(7, 2)).unwrap();
+        let clean = fs::read(&path).unwrap();
+        let (_, _, last_frame) = open_frame(&clean).unwrap();
+        let last_start = clean.len() - last_frame.len();
         // A complete final frame whose payload no longer matches its
-        // checksum is dropped like a short one.
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_journal(&path).unwrap(), vec![entry(7, 1)]);
+        // checksum, and one whose length now points past the end of the
+        // file, are dropped like a short one.
+        for (at, mask) in [(clean.len() - 1, 0x01), (last_start + 2, 0x80)] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= mask;
+            fs::write(&path, &bytes).unwrap();
+            assert_eq!(read_journal(&path).unwrap(), vec![entry(7, 1)], "flip at {at}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -330,7 +349,8 @@ mod tests {
         w.append(&entry(7, 1)).unwrap();
         w.append(&entry(7, 2)).unwrap();
         let clean = fs::read(&path).unwrap();
-        let first = HEADER_LEN + u32::from_le_bytes(clean[..4].try_into().unwrap()) as usize;
+        let (_, _, after) = open_frame(&clean).unwrap();
+        let first = clean.len() - after.len();
         // A tail of zeros where unsynced appends were, starting at a frame
         // boundary or inside the second frame.
         for zero_from in [first, first + 5, clean.len() - 1] {
@@ -354,16 +374,57 @@ mod tests {
             w.append(&entry(7, epoch)).unwrap();
         }
         let clean = fs::read(&path).unwrap();
-        // A flipped byte in the middle frame, and a byte that is not
-        // UTF-8 (the text journal failed the whole read on one): both
-        // sit before acknowledged epochs, so the read must fail loudly.
-        for (at, value) in [(clean.len() / 2, None), (HEADER_LEN + 3, Some(0xFF))] {
+        // A flipped byte in the middle frame, a byte that is not UTF-8
+        // (the text journal failed the whole read on one), and a first
+        // frame whose length now points past the end of the file — it
+        // looks torn, but intact frames follow. All sit before
+        // acknowledged epochs, so the read must fail loudly.
+        let cases =
+            [(clean.len() / 2, None), (HEADER_LEN + 3, Some(0xFF)), (2, Some(clean[2] ^ 0x80))];
+        for (at, value) in cases {
             let mut bytes = clean.clone();
             bytes[at] = value.unwrap_or(bytes[at] ^ 0x10);
             fs::write(&path, &bytes).unwrap();
             let err = read_journal(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopening_cuts_a_torn_tail_before_appending() {
+        let dir = std::env::temp_dir().join("gem_journal_reopen_torn");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(journal_file(0));
+        let mut w = JournalWriter::open(&path).unwrap();
+        w.append(&entry(7, 1)).unwrap();
+        w.append(&entry(7, 2)).unwrap();
+        drop(w);
+        let clean = fs::read(&path).unwrap();
+        let mut zero_tail = clean.clone();
+        zero_tail.extend_from_slice(&[0; 40]);
+        // A short final frame, and zeros where unsynced appends were.
+        for torn in [clean[..clean.len() - 5].to_vec(), zero_tail] {
+            fs::write(&path, &torn).unwrap();
+            let mut w = JournalWriter::open(&path).unwrap();
+            w.append(&entry(7, 3)).unwrap();
+            w.append(&entry(7, 4)).unwrap();
+            let kept = read_journal(&path).unwrap();
+            let epochs: Vec<u64> = kept.iter().map(|e| e.epoch).collect();
+            let expected: &[u64] =
+                if torn.len() < clean.len() { &[1, 3, 4] } else { &[1, 2, 3, 4] };
+            assert_eq!(epochs, expected);
+            // The pruning rewrite reads the same file and must not trip.
+            assert_eq!(w.retain(|e| e.epoch > 1).unwrap(), 1);
+        }
+        // Mid-file corruption is not cut away: opening refuses it.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[HEADER_LEN + 1] ^= 0x10;
+        fs::write(&path, &bytes).unwrap();
+        let err = JournalWriter::open(&path).err().expect("corrupt journal opened");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(fs::read(&path).unwrap(), bytes, "a refused open leaves the file alone");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -78,41 +78,64 @@ pub(crate) struct RecordMeta {
     pub(crate) enqueued: Instant,
 }
 
-/// Extension of the binary premises images spills and snapshot rounds
-/// write.
-const IMAGE_EXT: &str = ".bin";
-
-/// `premises-{id}-{epoch}.bin`: the image holding one premises' model
-/// through `epoch`. Built here and parsed only by [`parse_image_file`],
-/// so the writers and the sweep of superseded images agree on the name.
-pub(crate) fn image_file(premises_id: u64, epoch: u64) -> String {
-    format!("premises-{premises_id}-{epoch}{IMAGE_EXT}")
+/// `premises-{id}-{epoch}.{bin,json}`: the image holding one premises'
+/// model through `epoch` — `.json` for a base image (see [`ImageWrite`]),
+/// `.bin` for every other. Built here and parsed only by
+/// [`parse_image_file`], so the writers and the sweep of superseded
+/// images agree on the name.
+pub(crate) fn image_file(premises_id: u64, epoch: u64, json: bool) -> String {
+    let ext = if json { "json" } else { "bin" };
+    format!("premises-{premises_id}-{epoch}.{ext}")
 }
 
 /// Parses an [`image_file`] name into `(premises_id, epoch)`; `None` for
 /// any other file (the manifest, journals, a shared JSON seed).
 pub(crate) fn parse_image_file(name: &str) -> Option<(u64, u64)> {
-    let stem = name.strip_prefix("premises-")?.strip_suffix(IMAGE_EXT)?;
+    let stem = name.strip_prefix("premises-")?;
+    let stem = stem.strip_suffix(".bin").or_else(|| stem.strip_suffix(".json"))?;
     let (id, epoch) = stem.split_once('-')?;
     Some((id.parse().ok()?, epoch.parse().ok()?))
 }
 
-/// Writes one premises' binary image through `epoch` into `dir` and
-/// returns its durable record. `sync` makes the write durable before a
-/// manifest references it; a spill writes buffered and leaves the sync
-/// to the next snapshot round's group commit.
+/// Why a premises image is written, which fixes its form and whether
+/// the write is synced.
+#[derive(Clone, Copy, PartialEq)]
+enum ImageWrite {
+    /// Eviction: the binary image, buffered; the next snapshot round's
+    /// group commit syncs it before a manifest references it.
+    Spill,
+    /// A snapshot round: the binary image, synced before the manifest
+    /// commit references it.
+    Snapshot,
+    /// The first image of a premises [`Fleet::spawn`](crate::Fleet::spawn)
+    /// seeded hot, written by the snapshot it takes before admitting any
+    /// record: the JSON export, synced. Spawn-time images thus stay
+    /// readable as JSON text — perfbench's traced replay loads them with
+    /// `GemSnapshot::from_json` — and hydration reads either form.
+    Base,
+}
+
+/// Writes one premises' image through `epoch` into `dir` and returns its
+/// durable record.
 fn write_image(
     dir: &Path,
     premises_id: u64,
     epoch: u64,
     monitor: &Monitor,
-    sync: bool,
+    write: ImageWrite,
 ) -> std::io::Result<Stored> {
-    let file = image_file(premises_id, epoch);
-    let image = GemSnapshot::capture(monitor.gem()).to_image();
+    let json = write == ImageWrite::Base;
+    let file = image_file(premises_id, epoch, json);
+    let snapshot = GemSnapshot::capture(monitor.gem());
+    let image = if json {
+        snapshot.to_json().map_err(std::io::Error::other)?.into_bytes()
+    } else {
+        snapshot.to_image()
+    };
     let mut f = std::fs::File::create(dir.join(&file))?;
     f.write_all(&image)?;
-    if sync {
+    let synced = write != ImageWrite::Spill;
+    if synced {
         f.sync_data()?;
     }
     Ok(Stored {
@@ -120,7 +143,7 @@ fn write_image(
         file,
         epochs: epoch,
         state: monitor.state(),
-        synced: sync,
+        synced,
     })
 }
 
@@ -538,14 +561,18 @@ impl ShardWorker {
                     // Prune only entries folded into the committed
                     // manifest; epochs journaled after the snapshot
                     // (concurrent flush, early resume) stay replayable.
-                    // Failing to truncate only grows the file; replay
-                    // filters the already-committed epochs by watermark.
-                    let pruned = journal.retain_committed(&self.committed).unwrap_or(0);
-                    self.obs.trace(
-                        TraceEvent::new("journal_retain")
-                            .with("shard", self.id)
+                    // Failing to truncate only grows the file (replay
+                    // filters the already-committed epochs by watermark),
+                    // but is traced, not swallowed.
+                    let shard = self.id;
+                    self.obs.trace(match journal.retain_committed(&self.committed) {
+                        Ok(pruned) => TraceEvent::new("journal_retain")
+                            .with("shard", shard)
                             .with("pruned", pruned),
-                    );
+                        Err(e) => TraceEvent::new("journal_retain_error")
+                            .with("shard", shard)
+                            .with("error", e.to_string()),
+                    });
                 }
             }
             ShardMsg::Stats { ack } => {
@@ -962,7 +989,7 @@ impl ShardWorker {
         if !clean {
             let session = &self.sessions[&premises_id];
             let Residency::Hot(monitor) = &session.residency else { unreachable!() };
-            match write_image(&dir, premises_id, epoch, monitor, false) {
+            match write_image(&dir, premises_id, epoch, monitor, ImageWrite::Spill) {
                 Ok(stored) => new_stored = Some(stored),
                 Err(e) => {
                     self.obs.trace(
@@ -1085,7 +1112,9 @@ impl ShardWorker {
             if dirty {
                 // Synced before the manifest commit references it: a
                 // power loss after the rename must find these bytes.
-                let stored = write_image(dir, premises_id, session.epoch, monitor, true)
+                let write =
+                    if session.stored.is_none() { ImageWrite::Base } else { ImageWrite::Snapshot };
+                let stored = write_image(dir, premises_id, session.epoch, monitor, write)
                     .map_err(|e| e.to_string())?;
                 session.last_durable = Some(stored.clone());
                 session.stored = Some(stored);

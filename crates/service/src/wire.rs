@@ -347,6 +347,24 @@ pub(crate) fn seal_frame(buf: &mut [u8], start: usize) -> usize {
     buf.len() - start
 }
 
+/// The payload length and checksum a frame header declares.
+fn header_fields(header: &[u8; HEADER_LEN]) -> (u32, u64) {
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+    let checksum = u64::from_le_bytes(header[4..HEADER_LEN].try_into().expect("8 bytes"));
+    (len, checksum)
+}
+
+/// Splits the frame at the front of `bytes` (frames laid end to end, as
+/// in a journal file) into whether its payload matches the header
+/// checksum, the payload, and the bytes after the frame. `None` when
+/// `bytes` ends inside the header or the declared payload.
+pub(crate) fn open_frame(bytes: &[u8]) -> Option<(bool, &[u8], &[u8])> {
+    let (len, checksum) = header_fields(bytes.get(..HEADER_LEN)?.try_into().expect("header"));
+    let end = HEADER_LEN.checked_add(len as usize)?;
+    let payload = bytes.get(HEADER_LEN..end)?;
+    Some((fnv1a64(payload) == checksum, payload, &bytes[end..]))
+}
+
 /// Writes one frame to `w`, reusing `buf` as scratch. Returns the
 /// number of bytes written (for transmit accounting).
 pub fn write_frame(w: &mut impl Write, frame: &Frame, buf: &mut Vec<u8>) -> std::io::Result<usize> {
@@ -463,8 +481,7 @@ pub fn read_frame(
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let expected = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+    let (len, expected) = header_fields(&header);
     if len == 0 || len > max_len {
         return Err(WireError::BadLength { declared: len, max: max_len });
     }

@@ -213,9 +213,9 @@ fn run_fleet(
     fleet.flush().unwrap();
     let elapsed = start.elapsed().as_secs_f64();
     drain(&mut latencies_ms);
-    assert_eq!(fleet.dropped_events(), 0, "benchmark consumer must keep up with the fleet");
-    assert_eq!(latencies_ms.len(), total, "every admitted record must be decided");
     let stats = fleet.fleet_stats();
+    assert_eq!(stats.dropped_events, 0, "benchmark consumer must keep up with the fleet");
+    assert_eq!(latencies_ms.len(), total, "every admitted record must be decided");
     let fraction = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
     let busy_fractions: Vec<f64> =
         stats.shards.iter().map(|s| fraction(s.busy_ns, s.busy_ns + s.idle_ns)).collect();

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo bench -p gem-bench --bench train`. Each run appends one
 //! JSON line to `BENCH_train.json` at the repository root; set
-//! `GEM_NUM_THREADS` (or `GEM_PAR_THREADS`) to size the pool (the
+//! `GEM_NUM_THREADS` to size the pool (the
 //! container may expose fewer cores than the pool has workers, in which
 //! case the recorded speedup is bounded by the hardware, not the
 //! implementation).

@@ -248,7 +248,7 @@ fn main() {
     // --- gates ---
     let stats = fleet.fleet_stats();
     assert_eq!(stats.sheds, 0, "shed rate must be ~0 under paced load");
-    assert_eq!(fleet.unknown_sheds(), 0);
+    assert_eq!(stats.unknown_sheds, 0);
     assert_eq!(stats.dropped_events, 0, "a drained consumer must lose nothing");
     assert_eq!(stats.snapshot_errors, 0);
     let (mut evictions, mut hydrations) = (0u64, 0u64);

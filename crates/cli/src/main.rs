@@ -424,8 +424,9 @@ fn fleet(args: &Args) -> Result<(), String> {
     if sheds > 0 {
         say!("admission shed {sheds} submissions (retried until accepted)");
     }
-    if fleet.dropped_events() > 0 {
-        say!("{} event notifications dropped (consumer fell behind)", fleet.dropped_events());
+    let dropped = fleet.fleet_stats().dropped_events;
+    if dropped > 0 {
+        say!("{dropped} event notifications dropped (consumer fell behind)");
     }
     if let Some(trace_dir) = args.get_parsed::<std::path::PathBuf>("trace-dir")? {
         let paths = fleet

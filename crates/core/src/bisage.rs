@@ -86,8 +86,8 @@ pub struct BiSageConfig {
     /// "newly sensed MACs … improve the performance over time").
     pub min_mac_degree: usize,
     /// Worker threads for data-parallel training and batch inference:
-    /// `0` uses the process-global pool (all cores, or `GEM_PAR_THREADS`
-    /// / `GEM_NUM_THREADS`), `1` forces the sequential path on the
+    /// `0` uses the process-global pool (all cores, or
+    /// `GEM_NUM_THREADS`), `1` forces the sequential path on the
     /// caller thread, and any other value caps the pool to that many
     /// threads via [`gem_par::thread_cap`]. The result is bit-identical
     /// for every setting — each minibatch chunk derives its own RNG from

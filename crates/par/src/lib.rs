@@ -8,9 +8,9 @@
 //! how the OS schedules workers.
 //!
 //! Design:
-//! - One lazily-created global pool (`GEM_PAR_THREADS`, else
-//!   `GEM_NUM_THREADS`, else `available_parallelism`, minus the calling
-//!   thread which also works).
+//! - One lazily-created global pool (`GEM_NUM_THREADS`, else
+//!   `available_parallelism`, minus the calling thread which also
+//!   works).
 //! - Batch-claim dispatch: a parallel region publishes **one** batch of
 //!   tasks to a shared queue; workers take the batch once and then claim
 //!   task indices with a lock-free cursor. One lock acquisition per
@@ -163,16 +163,13 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Effective parallelism: `GEM_PAR_THREADS` if set and >= 1 (the CI
-/// override, taking precedence), else `GEM_NUM_THREADS`, else the
+/// Effective parallelism: `GEM_NUM_THREADS` if set and >= 1, else the
 /// machine's available parallelism.
 pub fn num_threads() -> usize {
-    for key in ["GEM_PAR_THREADS", "GEM_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(key) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
+    if let Ok(v) = std::env::var("GEM_NUM_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n >= 1 {
+                return n;
             }
         }
     }

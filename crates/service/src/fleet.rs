@@ -10,8 +10,8 @@
 //!   chatty tenant from squeezing out the rest.
 //! * **Events** — shards publish decisions on a bounded channel sized
 //!   for one full ingress backlog and never block on it: a consumer that
-//!   falls further behind loses notifications (counted by
-//!   [`Fleet::dropped_events`]) instead of wedging the shards.
+//!   falls further behind loses notifications (counted in
+//!   [`FleetStats::dropped_events`]) instead of wedging the shards.
 //! * **Durability** — a durable fleet writes a base snapshot + manifest
 //!   at spawn, so the write-ahead journal is replayable from the very
 //!   first epoch. [`Fleet::snapshot`] is *incremental and pause-free*:
@@ -25,11 +25,10 @@
 //!   the journaled epochs past each premises' manifest watermark and
 //!   reproduces the uninterrupted decision stream bit for bit.
 //! * **Tiered residency** — with
-//!   [`FleetConfig::hot_premises_per_shard`] (env override
-//!   `GEM_FLEET_HOT_CAP`), each shard keeps only an LRU hot tier of
-//!   models resident; idle premises spill to their snapshot files and
-//!   hydrate bitwise on their next record. RSS then tracks the hot
-//!   tier, not the tenant count.
+//!   [`FleetConfig::hot_premises_per_shard`] (durable fleets only), each
+//!   shard keeps only an LRU hot tier of models resident; idle premises
+//!   spill to their snapshot files and hydrate bitwise on their next
+//!   record. RSS then tracks the hot tier, not the tenant count.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -52,8 +51,52 @@ use crate::obs::{
 use crate::shard::{
     parse_image_file, FleetEvent, PremisesSeed, RecordMeta, ShardMsg, ShardWorker, Stored,
 };
-use crate::supervisor::{Admission, ShedReason};
 use crate::wire::WireTrace;
+
+/// Why a scan was refused at admission.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+pub enum ShedReason {
+    /// The shard queue or the premises' quota was full; the caller
+    /// should retry or drop.
+    QueueFull,
+    /// The fleet has shut down; no further scans will be accepted.
+    Shutdown,
+    /// The premises is not registered with the fleet.
+    UnknownPremises,
+}
+
+/// Outcome of submitting a scan — explicit backpressure, so callers can
+/// distinguish "processing" from "behind" from "dropped".
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+pub enum Admission {
+    /// Enqueued; the shard was idle or nearly so.
+    Accept,
+    /// Enqueued behind `depth - 1` earlier scans (including this one the
+    /// queue holds `depth`). A rising depth means ingest outpaces the
+    /// model — the precursor to shedding.
+    Queued {
+        /// Queue occupancy right after this scan was enqueued.
+        depth: usize,
+    },
+    /// Refused. The scan was *not* enqueued.
+    Shed(ShedReason),
+}
+
+impl Admission {
+    /// Whether the scan was enqueued (accepted or queued).
+    pub fn accepted(&self) -> bool {
+        !matches!(self, Admission::Shed(_))
+    }
+
+    /// Classifies an observed queue depth (occupancy *after* enqueue).
+    pub(crate) fn from_depth(depth: usize) -> Admission {
+        if depth <= 1 {
+            Admission::Accept
+        } else {
+            Admission::Queued { depth }
+        }
+    }
+}
 
 /// Fleet sizing and policy knobs.
 #[derive(Clone, Debug)]
@@ -74,8 +117,8 @@ pub struct FleetConfig {
     /// model resident; the least-recently-decided idle ones spill to
     /// their snapshot files and hydrate back on their next record.
     /// `None` keeps everything resident. Requires a durability `dir`
-    /// (there is nowhere to spill otherwise); the env var
-    /// `GEM_FLEET_HOT_CAP` overrides it (`0` = unlimited).
+    /// (there is nowhere to spill otherwise): spawning with a cap and no
+    /// `dir` panics.
     pub hot_premises_per_shard: Option<usize>,
     /// Observability knobs (see [`ObsOptions`]). Counters are always
     /// on; `enabled: false` skips histograms and trace rings.
@@ -349,16 +392,14 @@ pub struct Fleet {
     /// Admission state, shared with every [`FleetSubmitter`].
     ingress: Arc<Ingress>,
     workers: Vec<Option<JoinHandle<ShardYield>>>,
-    /// Per-premises registry handles, for round-trip-free stats.
-    monitor_obs: HashMap<u64, MonitorObs>,
     registry: Arc<Registry>,
     event_rx: Receiver<FleetEvent>,
     /// Periodic-snapshot failures (also surfaced in [`FleetStats`]).
     snapshot_errors: Arc<Counter>,
     cfg: FleetConfig,
-    /// Serializes snapshot sequences: [`Fleet::snapshot`] and the
-    /// periodic timer must never interleave their pause → commit →
-    /// truncate windows.
+    /// Serializes snapshot rounds: [`Fleet::snapshot`] and the periodic
+    /// timer must never interleave their snapshot → commit → truncate
+    /// windows.
     snapshot_lock: Arc<Mutex<()>>,
     snapshot_timer: Option<(Sender<()>, JoinHandle<()>)>,
 }
@@ -403,23 +444,18 @@ impl Fleet {
     fn spawn_at(premises: Vec<(u64, PremisesSeed)>, cfg: FleetConfig) -> Result<Fleet, FleetError> {
         assert!(cfg.shards >= 1, "a fleet needs at least one shard");
         assert!(cfg.max_batch >= 1, "decision epochs need at least one record");
+        assert!(
+            cfg.hot_premises_per_shard.is_none() || cfg.dir.is_some(),
+            "a hot cap needs a durability dir to spill into"
+        );
         if let Some(dir) = &cfg.dir {
             std::fs::create_dir_all(dir)?;
         }
-        // Hot-tier cap: env override first, config second; 0 disables.
-        let hot_cap = match std::env::var("GEM_FLEET_HOT_CAP") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(0) => None,
-                Ok(n) => Some(n),
-                Err(_) => cfg.hot_premises_per_shard,
-            },
-            Err(_) => cfg.hot_premises_per_shard,
-        };
         // Sized for a full backlog: each admitted record yields at most
         // one decision plus one alert transition, so a consumer that
         // drains at least once per `queue_per_shard` admissions never
         // loses an event. Shards never block on this channel; overflow
-        // is dropped and counted (`dropped_events`).
+        // is dropped and counted (`FleetStats::dropped_events`).
         let (event_tx, event_rx) = bounded(2 * cfg.shards * cfg.queue_per_shard + 64);
         let registry = Arc::new(Registry::new());
         let admission = AdmissionObs::register(&registry);
@@ -444,7 +480,6 @@ impl Fleet {
         // the premises of the busiest shard, but never below 1.
         let max_on_shard = by_shard.iter().map(Vec::len).max().unwrap_or(1).max(1);
         let quota = (cfg.queue_per_shard / max_on_shard).max(1);
-        let mut monitor_obs = HashMap::with_capacity(gates.len());
         let mut ingress_shards = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.shards);
         for (id, mut seeds) in by_shard.into_iter().enumerate() {
@@ -467,12 +502,11 @@ impl Fleet {
                     // seeding — the series keep running while cold).
                     match seed {
                         PremisesSeed::Hot { monitor, .. } => monitor.set_obs(obs.clone()),
-                        PremisesSeed::Cold { stored, .. } => {
+                        PremisesSeed::Cold { stored } => {
                             obs.seed(&stored.state.stats, gem_core::CacheStats::default())
                         }
                     }
-                    shard_monitor_obs.insert(*p, obs.clone());
-                    monitor_obs.insert(*p, obs);
+                    shard_monitor_obs.insert(*p, obs);
                 }
             }
             let worker = ShardWorker::new(
@@ -482,7 +516,7 @@ impl Fleet {
                 seeds,
                 cfg.max_batch,
                 cfg.dir.as_ref(),
-                hot_cap,
+                cfg.hot_premises_per_shard,
                 Arc::clone(&depth),
                 inflight,
                 shard_obs[id].clone(),
@@ -508,7 +542,6 @@ impl Fleet {
         let mut fleet = Fleet {
             ingress,
             workers,
-            monitor_obs,
             registry,
             event_rx,
             snapshot_errors,
@@ -600,7 +633,7 @@ impl Fleet {
     /// consumer that drains at least once per `queue_per_shard`
     /// admissions sees every event; fall further behind and the excess
     /// is dropped — model updates and the journal are unaffected — and
-    /// counted in [`Fleet::dropped_events`].
+    /// counted in [`FleetStats::dropped_events`].
     pub fn events(&self) -> &Receiver<FleetEvent> {
         &self.event_rx
     }
@@ -625,15 +658,6 @@ impl Fleet {
     /// The observability options this fleet was spawned with.
     pub fn obs_options(&self) -> &ObsOptions {
         &self.cfg.obs
-    }
-
-    /// Events dropped because the consumer let the event channel fill
-    /// (see [`Fleet::events`]). Decisions themselves are never lost —
-    /// the models updated and the epochs were journaled — only their
-    /// notifications. The count is attributed per shard
-    /// (`gem_shard_dropped_events_total{shard}`); this sums them.
-    pub fn dropped_events(&self) -> u64 {
-        self.ingress.shard_obs.iter().map(|s| s.dropped_events.get()).sum()
     }
 
     /// Fleet-wide admission statistics with a per-shard breakdown.
@@ -726,7 +750,7 @@ impl Fleet {
 
     /// Per-premises statistics (sorted by premises id), with
     /// admission-side shed counts folded in. This round-trips through
-    /// every shard; for a lock-free read see [`Fleet::stats_snapshot`].
+    /// every shard; cold premises answer from their stored sidecar.
     pub fn stats(&self) -> Result<Vec<(u64, MonitorStats)>, FleetError> {
         let mut acks = Vec::with_capacity(self.ingress.shards.len());
         for shard in &self.ingress.shards {
@@ -750,29 +774,6 @@ impl Fleet {
         }
         all.sort_by_key(|(p, _)| *p);
         Ok(all)
-    }
-
-    /// Per-premises statistics assembled purely from registry atomics —
-    /// no shard round-trip, no cache lock, no quiescing. Unlike
-    /// [`Fleet::stats`] this can lag in-flight epochs by a few counter
-    /// increments, but it never touches a shard thread.
-    pub fn stats_snapshot(&self) -> Vec<(u64, MonitorStats)> {
-        let mut all: Vec<(u64, MonitorStats)> = self
-            .monitor_obs
-            .iter()
-            .map(|(p, obs)| {
-                let sheds =
-                    self.ingress.gates.get(p).map(|g| g.sheds.load(Ordering::Relaxed)).unwrap_or(0);
-                (*p, obs.stats_snapshot(sheds))
-            })
-            .collect();
-        all.sort_by_key(|(p, _)| *p);
-        all
-    }
-
-    /// Scans shed because their premises was never registered.
-    pub fn unknown_sheds(&self) -> u64 {
-        self.ingress.admission.unknown_sheds.get()
     }
 
     /// The shard a premises routes to (diagnostics).
@@ -925,7 +926,7 @@ impl Fleet {
                 .filter(|j| j.epoch > entry.epochs)
                 .collect();
             if epochs.is_empty() {
-                seeds.push((entry.premises_id, PremisesSeed::Cold { epoch: entry.epochs, stored }));
+                seeds.push((entry.premises_id, PremisesSeed::Cold { stored }));
                 continue;
             }
             let gem = GemSnapshot::load(dir.join(&entry.snapshot_file))?.restore()?;
@@ -1146,9 +1147,18 @@ mod tests {
             fleet.submit(999_999, streams[0][0].clone()),
             Admission::Shed(ShedReason::UnknownPremises)
         );
-        assert_eq!(fleet.unknown_sheds(), 1);
+        assert_eq!(fleet.fleet_stats().unknown_sheds, 1);
         let monitors = fleet.shutdown().unwrap();
         assert_eq!(monitors.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "a hot cap needs a durability dir")]
+    fn hot_cap_without_a_dir_is_refused() {
+        // Without a dir there is nowhere to spill: the cap would silently
+        // leave the hot tier unbounded.
+        let cfg = FleetConfig { hot_premises_per_shard: Some(1), ..FleetConfig::default() };
+        let _ = Fleet::spawn(Vec::new(), cfg);
     }
 
     #[test]
@@ -1225,15 +1235,16 @@ mod tests {
         let stats = fleet.stats().unwrap();
         assert_eq!(stats[0].1.scans, n, "every admitted record must be processed");
         let received = drain_events(&fleet);
+        let dropped = fleet.fleet_stats().dropped_events;
         assert!(
-            fleet.dropped_events() > 0,
+            dropped > 0,
             "an undrained consumer past channel capacity must drop (got {} events)",
             received.len()
         );
         // Every decision was either delivered or counted as dropped.
         let decisions =
             received.iter().filter(|e| matches!(e.event, Event::Decision { .. })).count();
-        assert!(decisions as u64 + fleet.dropped_events() >= n as u64);
+        assert!(decisions as u64 + dropped >= n as u64);
         fleet.shutdown().unwrap();
     }
 

@@ -47,11 +47,10 @@ use crossbeam::channel::{Receiver, RecvTimeoutError};
 use gem_obs::{SpanContext, TraceEvent};
 use parking_lot::Mutex;
 
-use crate::fleet::{Fleet, FleetSubmitter};
+use crate::fleet::{Admission, Fleet, FleetSubmitter};
 use crate::monitor::Event;
 use crate::obs::IngressObs;
 use crate::shard::FleetEvent;
-use crate::supervisor::Admission;
 use crate::wire::{self, Frame, WireError, WireShedReason, WireVerdict, WIRE_VERSION};
 
 /// Tuning knobs of the network ingress.

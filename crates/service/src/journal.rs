@@ -89,11 +89,6 @@ impl JournalWriter {
         self.obs = Some(obs);
     }
 
-    /// The journal file this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one epoch and syncs it to stable storage. Must be called
     /// before the epoch is processed (write-ahead), so a crash mid-epoch
     /// replays it instead of losing it. The `sync_data` makes the
@@ -138,47 +133,34 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Rewrites the journal keeping only the entries `keep` accepts —
-    /// the truncation primitive for snapshot commits: entries folded
-    /// into the committed manifest go, entries past its watermark stay.
+    /// The truncation primitive for snapshot commits: prunes entries at
+    /// or below each premises' committed watermark, keeping entries for
+    /// premises the map doesn't mention (they were never snapshotted, so
+    /// every journaled epoch is still the only durable copy). Runs on the
+    /// owning shard between drain passes — no fleet-wide lock is needed
+    /// because each shard only rewrites its own journal file, and the
+    /// watermarks passed in come from an already-committed manifest.
     ///
     /// The rewrite is crash-safe: the retained entries are written to a
     /// temp file, synced, and renamed over the journal, so a crash at
     /// any point leaves either the old journal or the pruned one —
     /// never a partial rewrite.
     /// Returns the number of entries pruned.
-    pub fn retain(&mut self, keep: impl Fn(&JournalEntry) -> bool) -> io::Result<usize> {
-        let timed = self.obs.as_ref().filter(|o| o.enabled).map(|_| Instant::now());
-        let pruned = self.retain_inner(keep)?;
-        if let (Some(obs), Some(start)) = (&self.obs, timed) {
-            obs.retain_seconds.record(elapsed_ns(start));
-        }
-        Ok(pruned)
-    }
-
-    /// Incremental-snapshot-aware truncation: prunes entries at or below
-    /// each premises' committed watermark, keeping entries for premises
-    /// the map doesn't mention (they were never snapshotted, so every
-    /// journaled epoch is still the only durable copy). Runs on the
-    /// owning shard between drain passes — no fleet-wide lock is needed
-    /// because each shard only rewrites its own journal file, and the
-    /// watermarks passed in come from an already-committed manifest.
-    /// Returns the number of entries pruned.
     pub fn retain_committed(
         &mut self,
         watermarks: &std::collections::HashMap<u64, u64>,
     ) -> io::Result<usize> {
-        self.retain(|e| watermarks.get(&e.premises_id).is_none_or(|&w| e.epoch > w))
-    }
-
-    fn retain_inner(&mut self, keep: impl Fn(&JournalEntry) -> bool) -> io::Result<usize> {
+        let timed = self.obs.as_ref().filter(|o| o.enabled).map(|_| Instant::now());
         self.file.flush()?;
         let entries = read_journal(&self.path)?;
         let tmp = self.path.with_extension("log.tmp");
         let mut kept = 0usize;
         {
             let mut bytes = Vec::new();
-            for entry in entries.iter().filter(|e| keep(e)) {
+            for entry in entries
+                .iter()
+                .filter(|e| watermarks.get(&e.premises_id).is_none_or(|&w| e.epoch > w))
+            {
                 encode_frame(entry, &mut bytes);
                 kept += 1;
             }
@@ -188,6 +170,9 @@ impl JournalWriter {
         }
         fs::rename(&tmp, &self.path)?;
         self.file = BufWriter::new(OpenOptions::new().create(true).append(true).open(&self.path)?);
+        if let (Some(obs), Some(start)) = (&self.obs, timed) {
+            obs.retain_seconds.record(elapsed_ns(start));
+        }
         Ok(entries.len() - kept)
     }
 }
@@ -416,7 +401,8 @@ mod tests {
                 if torn.len() < clean.len() { &[1, 3, 4] } else { &[1, 2, 3, 4] };
             assert_eq!(epochs, expected);
             // The pruning rewrite reads the same file and must not trip.
-            assert_eq!(w.retain(|e| e.epoch > 1).unwrap(), 1);
+            let watermarks = std::collections::HashMap::from([(7u64, 1u64)]);
+            assert_eq!(w.retain_committed(&watermarks).unwrap(), 1);
         }
         // Mid-file corruption is not cut away: opening refuses it.
         let mut bytes = fs::read(&path).unwrap();
@@ -440,7 +426,8 @@ mod tests {
         w.append(&entry(7, 2)).unwrap();
         // Commit watermark: premises 7 snapshotted at epoch 1, premises 9
         // at epoch 1 — only 7's epoch 2 is past the manifest.
-        w.retain(|e| e.epoch > 1).unwrap();
+        let watermarks = std::collections::HashMap::from([(7u64, 1u64), (9, 1)]);
+        w.retain_committed(&watermarks).unwrap();
         assert_eq!(read_journal(&path).unwrap(), vec![entry(7, 2)]);
         // The writer keeps appending after the retained entries.
         w.append(&entry(9, 2)).unwrap();

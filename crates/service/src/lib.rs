@@ -7,13 +7,11 @@
 //! * [`Monitor`] — a single-user session wrapping a trained model with an
 //!   *alert policy* (consecutive-outside debouncing, the practical fix
 //!   for one-scan flukes) and an event/statistics log;
-//! * [`Supervisor`] — a thread-safe wrapper that feeds a monitor from a
-//!   crossbeam channel and publishes [`Event`]s on another, so device
-//!   ingest and alert handling can live on different threads;
-//! * [`Fleet`] — the multi-tenant runtime: premises are rendezvous-hashed
-//!   onto worker shards, ingress is coalesced into batched decision
-//!   epochs with explicit backpressure ([`Admission`]), and a write-ahead
-//!   journal plus checksummed snapshots give bitwise crash recovery;
+//! * [`Fleet`] — the runtime, for one premises or many: premises are
+//!   rendezvous-hashed onto worker shards, ingress is coalesced into
+//!   batched decision epochs with explicit backpressure ([`Admission`]),
+//!   and a write-ahead journal plus checksummed snapshots give bitwise
+//!   crash recovery;
 //! * [`obs`] — the observability wiring: every metric and trace event the
 //!   runtime emits is registered there on a `gem_obs::Registry`, exposed
 //!   via [`Fleet::registry`] for Prometheus/JSON scraping;
@@ -28,14 +26,14 @@ pub mod journal;
 pub mod monitor;
 pub mod obs;
 mod shard;
-pub mod supervisor;
 pub mod wire;
 
-pub use fleet::{shard_for, Fleet, FleetConfig, FleetError, FleetSubmitter, Recovery};
+pub use fleet::{
+    shard_for, Admission, Fleet, FleetConfig, FleetError, FleetSubmitter, Recovery, ShedReason,
+};
 pub use ingress::{IngressConfig, IngressServer};
 pub use journal::{JournalEntry, JournalWriter};
 pub use monitor::{Event, Monitor, MonitorConfig, MonitorState, MonitorStats};
 pub use obs::{FleetStats, JournalObs, MonitorObs, ObsOptions, ShardStats};
 pub use shard::FleetEvent;
-pub use supervisor::{Admission, ShedReason, Supervisor};
 pub use wire::{Frame, WireError, WireShedReason, WireTrace, WireVerdict};

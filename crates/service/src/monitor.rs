@@ -52,7 +52,7 @@ pub enum Event {
 }
 
 /// Running statistics of a monitoring session.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MonitorStats {
     /// Scans processed.
     pub scans: usize,
@@ -72,8 +72,8 @@ pub struct MonitorStats {
     /// each is one model-consistent group, the fleet's replay unit).
     #[serde(default)]
     pub epochs: u64,
-    /// Scans refused at admission (queue full). Counted by the layer that
-    /// owns the queue — supervisor or fleet — never by the monitor itself.
+    /// Scans refused at admission (queue full). Counted by the fleet,
+    /// which owns the queue, never by the monitor itself.
     #[serde(default)]
     pub sheds: u64,
 }
@@ -107,9 +107,8 @@ pub struct Monitor {
     /// Registry-backed instruments, attached by the fleet (optional for
     /// standalone monitors).
     obs: Option<MonitorObs>,
-    /// Engine cache counters as of the last processed scan/batch —
-    /// lets [`Monitor::stats_snapshot`] report cache figures without
-    /// touching the engine at read time.
+    /// Engine cache counters as of the last processed scan/batch: the
+    /// baseline each scan's cache-counter movement is measured against.
     cache_mirror: CacheStats,
 }
 
@@ -269,20 +268,6 @@ impl Monitor {
     pub fn stats(&self) -> MonitorStats {
         let cache = self.gem.cache_stats();
         MonitorStats { cache_hits: cache.hits, cache_misses: cache.misses, ..self.stats }
-    }
-
-    /// Snapshot-consistent statistics without touching the engine:
-    /// cache figures come from the mirror captured at the end of the
-    /// last scan/batch, everything else from the same running counters
-    /// as [`Monitor::stats`]. The mirror lags live engine counters by
-    /// at most the in-flight batch — the right trade for a read path
-    /// that must never contend with inference.
-    pub fn stats_snapshot(&self) -> MonitorStats {
-        MonitorStats {
-            cache_hits: self.cache_mirror.hits,
-            cache_misses: self.cache_mirror.misses,
-            ..self.stats
-        }
     }
 
     /// Borrow the underlying model (e.g. to snapshot it).

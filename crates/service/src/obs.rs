@@ -369,25 +369,6 @@ impl MonitorObs {
         self.cache_invalidations.add(cache.invalidations);
     }
 
-    /// Assembles a [`MonitorStats`] purely from the registry atomics —
-    /// no shard round-trip, no engine access. `sheds` is supplied by
-    /// the admission side, which owns that count.
-    pub(crate) fn stats_snapshot(&self, sheds: u64) -> MonitorStats {
-        let in_decisions = self.decisions_in.get() as usize;
-        let out_decisions = self.decisions_out.get() as usize;
-        MonitorStats {
-            scans: in_decisions + out_decisions,
-            in_decisions,
-            out_decisions,
-            alerts: self.alerts.get() as usize,
-            model_updates: self.self_updates.get() as usize,
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            epochs: self.epochs.get(),
-            sheds,
-        }
-    }
-
     /// Pushes a trace event when tracing is on.
     pub(crate) fn trace(&self, event: TraceEvent) {
         if self.enabled {

@@ -14,11 +14,15 @@
 //! session is either *hot* (its [`Monitor`] is in memory) or *cold*
 //! (its model lives in a snapshot file; only the ~100-byte
 //! [`MonitorState`] sidecar and bookkeeping stay resident). A cold
-//! premises is hydrated bitwise on its next record — image load,
-//! checksum verify, and watermark-filtered journal replay — inside the
-//! drain loop, so routing and admission never notice the tier. When a
-//! hot cap is set, the least-recently-decided idle premises are spilled
-//! back to disk after each drain pass, as binary images ([`image_file`]).
+//! premises is hydrated bitwise on its next record — image load and
+//! checksum verify — inside the drain loop, so routing and admission
+//! never notice the tier. A cold image is always at the premises'
+//! current epoch: a spill writes one at the session's epoch, and
+//! recovery spawns a premises cold only when the journal holds nothing
+//! past its manifest image, so hydration never replays the journal.
+//! When a hot cap is set, the least-recently-decided idle premises are
+//! spilled back to disk after each drain pass, as binary images
+//! ([`image_file`]).
 //! Spill writes are *not* synced
 //! individually: the next incremental snapshot round group-commits them
 //! (syncs the files, then commits the manifest that references them),
@@ -44,7 +48,7 @@ use gem_core::{fnv1a64_hex, GemSnapshot, PremisesEntry};
 use gem_obs::{SpanContext, TraceEvent};
 use gem_signal::SignalRecord;
 
-use crate::journal::{journal_file, read_journal, JournalEntry, JournalWriter};
+use crate::journal::{journal_file, JournalEntry, JournalWriter};
 use crate::monitor::{Event, Monitor, MonitorState, MonitorStats};
 use crate::obs::{MonitorObs, ShardObs};
 
@@ -170,10 +174,9 @@ pub(crate) enum PremisesSeed {
     /// was restored from, if any.
     Hot { monitor: Box<Monitor>, epoch: u64, stored: Option<Stored> },
     /// Spilled from the start (recovery without backlog): nothing is
-    /// read or deserialized until the premises' first record. `epoch`
-    /// may exceed `stored.epochs`, in which case hydration replays the
-    /// delta from the journal.
-    Cold { epoch: u64, stored: Stored },
+    /// read or deserialized until the premises' first record, and the
+    /// image is at the premises' epoch.
+    Cold { stored: Stored },
 }
 
 /// Messages a shard worker understands. Control messages are handled
@@ -274,8 +277,8 @@ pub(crate) struct ShardWorker {
     /// Monotonic stamp source for `Session::last_touch`.
     lru_clock: u64,
     max_batch: usize,
-    /// Hot-tier cap. `None` (or no durability dir to spill into) keeps
-    /// every premises resident.
+    /// Hot-tier cap. `None` keeps every premises resident; the fleet
+    /// only sets one together with a durability dir to spill into.
     hot_cap: Option<usize>,
     /// Durability dir — spill target and hydration source.
     dir: Option<PathBuf>,
@@ -366,7 +369,7 @@ impl ShardWorker {
                         hot_ids.push(p);
                         (Residency::Hot(monitor), epoch, stored)
                     }
-                    PremisesSeed::Cold { epoch, stored } => (Residency::Cold, epoch, Some(stored)),
+                    PremisesSeed::Cold { stored } => (Residency::Cold, stored.epochs, Some(stored)),
                 };
                 if let Some(stored) = &stored {
                     committed.insert(p, stored.epochs);
@@ -576,15 +579,13 @@ impl ShardWorker {
                 }
             }
             ShardMsg::Stats { ack } => {
-                // Snapshot-consistent reads: no engine access, so a
-                // stats poll never contends with inference. Cold
-                // premises answer from their resident sidecar.
+                // Cold premises answer from their resident sidecar.
                 let mut stats: Vec<(u64, MonitorStats)> = self
                     .sessions
                     .iter()
                     .map(|(p, s)| {
                         let st = match &s.residency {
-                            Residency::Hot(m) => m.stats_snapshot(),
+                            Residency::Hot(m) => m.stats(),
                             Residency::Cold => {
                                 s.stored
                                     .as_ref()
@@ -863,25 +864,25 @@ impl ShardWorker {
         self.obs.trace(event);
     }
 
-    /// Makes a cold premises resident: image load, checksum verify,
-    /// [`Monitor::from_state`] with the stored sidecar, then bitwise
-    /// journal replay of any epochs decided past the stored image.
+    /// Makes a cold premises resident: image load, checksum verify, then
+    /// [`Monitor::from_state`] with the stored sidecar. The image is at
+    /// the session's epoch (see the module docs), so nothing replays.
     /// Instruments are re-attached without re-seeding — the registry
     /// series kept counting while the premises was cold. Corruption
     /// panics the shard: a tenant whose durable state cannot be
     /// reproduced must not keep deciding.
     fn hydrate(&mut self, premises_id: u64) {
-        {
-            let session = self.sessions.get(&premises_id).expect("routed premises");
-            if matches!(session.residency, Residency::Hot(_)) {
-                return;
-            }
+        let session = self.sessions.get(&premises_id).expect("routed premises");
+        if matches!(session.residency, Residency::Hot(_)) {
+            return;
         }
         let start = self.obs.enabled.then(Instant::now);
-        let (stored, target_epoch) = {
-            let session = &self.sessions[&premises_id];
-            (session.stored.clone().expect("cold premises has stored image"), session.epoch)
-        };
+        let stored = session.stored.clone().expect("cold premises has stored image");
+        assert_eq!(
+            stored.epochs, session.epoch,
+            "shard {}: premises {premises_id} went cold past its stored image",
+            self.id
+        );
         let dir = self.dir.clone().expect("cold premises requires a durability dir");
         let bytes = std::fs::read(dir.join(&stored.file)).unwrap_or_else(|e| {
             panic!("shard {}: hydrate read {} failed: {e}", self.id, stored.file)
@@ -900,42 +901,6 @@ impl ShardWorker {
         if let Some(obs) = self.monitor_obs.get(&premises_id) {
             monitor.attach_obs(obs.clone());
         }
-        // Replay the journal tail if the premises decided epochs past
-        // its stored image (recovery seeds that deferred their replay).
-        let mut replayed = 0u64;
-        let mut replay_events: Vec<FleetEvent> = Vec::new();
-        if target_epoch > stored.epochs {
-            let journal = self.journal.as_ref().expect("journaled epochs require a journal");
-            let mut entries: Vec<JournalEntry> = read_journal(journal.path())
-                .unwrap_or_else(|e| panic!("shard {}: journal read failed: {e}", self.id))
-                .into_iter()
-                .filter(|e| {
-                    e.premises_id == premises_id
-                        && e.epoch > stored.epochs
-                        && e.epoch <= target_epoch
-                })
-                .collect();
-            entries.sort_by_key(|e| e.epoch);
-            let mut watermark = stored.epochs;
-            for entry in entries {
-                assert_eq!(
-                    entry.epoch,
-                    watermark + 1,
-                    "shard {}: journal gap hydrating premises {premises_id}",
-                    self.id
-                );
-                for event in monitor.process_batch(&entry.records) {
-                    replay_events.push(FleetEvent { premises_id, event, latency_s: 0.0, trace: 0 });
-                }
-                watermark = entry.epoch;
-                replayed += 1;
-            }
-            assert_eq!(
-                watermark, target_epoch,
-                "shard {}: journal missing epochs for premises {premises_id}",
-                self.id
-            );
-        }
         let stamp = self.lru_clock;
         self.lru_clock += 1;
         let session = self.sessions.get_mut(&premises_id).expect("routed premises");
@@ -951,19 +916,9 @@ impl ShardWorker {
             self.obs.trace(
                 TraceEvent::new("hydrate")
                     .with("premises", premises_id)
-                    .with("epoch", target_epoch)
-                    .with("replayed", replayed)
+                    .with("epoch", stored.epochs)
                     .with("duration_ns", ns),
             );
-        }
-        for event in replay_events {
-            match self.event_tx.try_send(event) {
-                Ok(()) => {}
-                Err(crossbeam::channel::TrySendError::Full(_)) => {
-                    self.obs.dropped_events.inc();
-                }
-                Err(crossbeam::channel::TrySendError::Disconnected(_)) => {}
-            }
         }
     }
 
@@ -974,10 +929,7 @@ impl ShardWorker {
     /// Returns `false` (premises stays hot) if it has pending records or
     /// the write fails.
     fn spill(&mut self, premises_id: u64) -> bool {
-        let dir = match &self.dir {
-            Some(d) => d.clone(),
-            None => return false,
-        };
+        let dir = self.dir.clone().expect("a hot cap requires a durability dir");
         let (epoch, clean) = {
             let session = self.sessions.get(&premises_id).expect("known premises");
             if !session.pending.is_empty() || !matches!(session.residency, Residency::Hot(_)) {
@@ -1034,9 +986,6 @@ impl ShardWorker {
     /// pass where everything is busy may briefly exceed it.
     fn enforce_hot_cap(&mut self) {
         let Some(cap) = self.hot_cap else { return };
-        if self.dir.is_none() {
-            return;
-        }
         while self.hot_ids.len() > cap {
             let mut victim: Option<(u64, u64)> = None;
             for &p in &self.hot_ids {

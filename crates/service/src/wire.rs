@@ -50,7 +50,7 @@ use serde::bin::Reader;
 use gem_core::fnv1a64;
 use gem_signal::{MacAddr, Reading, SignalRecord};
 
-use crate::supervisor::{Admission, ShedReason};
+use crate::fleet::{Admission, ShedReason};
 
 /// Protocol version advertised in the HELLO frame.
 pub const WIRE_VERSION: u8 = 1;

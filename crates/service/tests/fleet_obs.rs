@@ -145,16 +145,17 @@ proptest! {
         prop_assert!(stats.unknown_sheds > 0, "the unregistered premises must shed");
         prop_assert_eq!(stats.shards.len(), storm.shards);
         let per_shard_drops: u64 = stats.shards.iter().map(|s| s.dropped_events).sum();
-        prop_assert_eq!(per_shard_drops, fleet.dropped_events(), "per-shard drops must sum");
+        prop_assert_eq!(per_shard_drops, stats.dropped_events, "per-shard drops must sum");
         // After a flush with no submitters running, nothing is queued.
         for s in &stats.shards {
             prop_assert_eq!(s.queue_depth, 0, "flushed shard must be empty: {:?}", s);
         }
 
-        // The lock-free per-premises snapshot agrees with the
-        // admission-side verdict partition: accepted work was decided.
+        // The per-premises statistics agree with the admission-side
+        // verdict partition: accepted work was decided.
         let decided: usize = fleet
-            .stats_snapshot()
+            .stats()
+            .unwrap()
             .iter()
             .map(|(_, m)| m.scans)
             .sum();

@@ -130,7 +130,8 @@ proptest! {
             }
             fleet.resume();
         }
-        fleet.shutdown().unwrap();
+        let returned = fleet.shutdown().unwrap();
+        prop_assert_eq!(returned.len(), premises_ids.len());
 
         // The standalone reference: same records, same epoch chunking.
         for (i, &p) in premises_ids.iter().enumerate() {
@@ -154,6 +155,17 @@ proptest! {
                 "premises {} diverged (shards={}, max_batch={})",
                 p, plan.shards, plan.max_batch
             );
+            // `shutdown` hands back the learned state: the returned
+            // monitor's model and statistics equal the reference's.
+            let (id, monitor) = &returned[i];
+            prop_assert_eq!(*id, p);
+            prop_assert!(
+                GemSnapshot::capture(monitor.gem()).to_image()
+                    == GemSnapshot::capture(reference.gem()).to_image(),
+                "premises {} returned a model that differs from the reference",
+                p
+            );
+            prop_assert_eq!(monitor.stats(), reference.stats());
         }
     }
 
@@ -238,11 +250,15 @@ proptest! {
     /// resident premises per shard — so every multi-tenant chunk forces
     /// spill/hydrate cycles — snapshotted mid-stream, killed, and
     /// recovered, makes bitwise the same decisions as an unbounded
-    /// resident fleet and a standalone monitor fed the same epochs.
+    /// resident fleet and a standalone monitor fed the same epochs. The
+    /// per-premises registry series, which keep counting while a
+    /// premises is cold, end equal to the shards' own statistics.
     #[test]
     fn hot_cap_churn_and_recovery_match_resident_and_standalone(plan in PlanStrategy) {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static CASE: AtomicUsize = AtomicUsize::new(0);
+        // One premises never churns: give the cap of 1 something to evict.
+        let plan = Plan { n_premises: plan.n_premises.max(2), ..plan };
         let tenants = tenants();
         let premises_ids: Vec<u64> = (0..plan.n_premises as u64).map(|i| i * 17 + 3).collect();
         let dir = std::env::temp_dir().join(format!(
@@ -295,6 +311,12 @@ proptest! {
                 snap_idx = pre_events.len();
             }
         }
+        let churned = |fleet: &Fleet| {
+            let stats = fleet.fleet_stats();
+            (stats.shards[0].evictions, stats.shards[0].hydrations)
+        };
+        let (evictions, hydrations) = churned(&fleet);
+        prop_assert!(evictions > 0 && hydrations > 0, "no churn before the kill: {:?}", plan);
         fleet.abort();
 
         // Recovery replays exactly the post-snapshot decisions.
@@ -320,6 +342,31 @@ proptest! {
         let mut tail_events = Vec::new();
         while let Ok(e) = fleet.events().try_recv() {
             tail_events.push(e);
+        }
+        let (evictions, hydrations) = churned(&fleet);
+        prop_assert!(evictions > 0 && hydrations > 0, "no churn after recovery: {:?}", plan);
+        let registry = fleet.registry();
+        for (p, stats) in fleet.stats().unwrap() {
+            let p = p.to_string();
+            let series = |name: &str, outcome: Option<&str>| {
+                let mut labels = vec![("premises", p.as_str())];
+                labels.extend(outcome.map(|o| ("outcome", o)));
+                registry.counter(name, &labels).get()
+            };
+            prop_assert_eq!(
+                series("gem_monitor_decisions_total", Some("in")),
+                stats.in_decisions as u64
+            );
+            prop_assert_eq!(
+                series("gem_monitor_decisions_total", Some("out")),
+                stats.out_decisions as u64
+            );
+            prop_assert_eq!(series("gem_monitor_epochs_total", None), stats.epochs);
+            prop_assert_eq!(
+                series("gem_monitor_self_updates_total", None),
+                stats.model_updates as u64
+            );
+            prop_assert_eq!(series("gem_monitor_alerts_total", None), stats.alerts as u64);
         }
         fleet.shutdown().unwrap();
 

@@ -1,14 +1,21 @@
-//! The server-side deployment story: a monitoring service with alert
-//! debouncing, a background worker thread, and model persistence across
+//! The server-side deployment story: one premises served by a `Fleet`
+//! (alert debouncing on a worker shard) with model persistence across
 //! "restarts".
 //!
 //! ```text
 //! cargo run --release --example monitoring_service
 //! ```
 
+use std::time::Duration;
+
 use gem::core::{Gem, GemConfig};
 use gem::rfsim::{Scenario, ScenarioConfig};
-use gem::service::{Event, Monitor, MonitorConfig, Supervisor};
+use gem::service::{
+    Admission, Event, Fleet, FleetConfig, FleetEvent, Monitor, MonitorConfig, ShedReason,
+};
+
+/// The one premises this service monitors.
+const PREMISES: u64 = 1;
 
 fn main() {
     let mut cfg = ScenarioConfig::user(5);
@@ -24,40 +31,59 @@ fn main() {
     println!("model trained and persisted to {}", model_path.display());
 
     // The service starts (possibly days later, after a restart): restore
-    // the model and run the monitor on a worker thread.
+    // the model and serve it from a fleet of one premises on one shard.
     let gem = Gem::load(&model_path).expect("load model");
     let monitor = Monitor::new(gem, MonitorConfig { alert_after: 3, clear_after: 2 });
-    let supervisor = Supervisor::spawn(monitor, 32);
-
-    // Device uplink: scans arrive one by one.
-    let n = dataset.test.len();
-    for t in &dataset.test {
-        supervisor.submit(t.record.clone());
-    }
+    let fleet = Fleet::spawn(
+        vec![(PREMISES, monitor)],
+        FleetConfig { shards: 1, queue_per_shard: 32, ..FleetConfig::default() },
+    )
+    .expect("spawn fleet");
 
     // Alert handler: consume events as they stream out.
     let mut decisions = 0;
-    while decisions < n {
-        match supervisor.events().recv() {
-            Ok(Event::Decision { .. }) => decisions += 1,
-            Ok(Event::AlertRaised { timestamp_s, consecutive_out }) => {
-                println!(
-                    "t={timestamp_s:8.1}s  ALERT ({consecutive_out} consecutive outside scans)"
-                );
+    let mut handle = |FleetEvent { event, .. }: FleetEvent| match event {
+        Event::Decision { .. } => decisions += 1,
+        Event::AlertRaised { timestamp_s, consecutive_out } => {
+            println!("t={timestamp_s:8.1}s  ALERT ({consecutive_out} consecutive outside scans)");
+        }
+        Event::AlertCleared { timestamp_s } => {
+            println!("t={timestamp_s:8.1}s  alert cleared");
+        }
+    };
+
+    // Device uplink: scans arrive one by one, and the handler catches up
+    // before each. A full queue sheds the scan instead of blocking; the
+    // uplink backs off briefly and retries.
+    let mut retries = 0;
+    for t in &dataset.test {
+        loop {
+            while let Ok(e) = fleet.events().try_recv() {
+                handle(e);
             }
-            Ok(Event::AlertCleared { timestamp_s }) => {
-                println!("t={timestamp_s:8.1}s  alert cleared");
+            match fleet.submit(PREMISES, t.record.clone()) {
+                a if a.accepted() => break,
+                Admission::Shed(ShedReason::QueueFull) => {
+                    retries += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Admission::Shed(reason) => panic!("scan refused permanently: {reason:?}"),
+                _ => unreachable!("non-shed admissions are accepted"),
             }
-            Err(_) => break,
         }
     }
+    fleet.flush().expect("flush");
+    while let Ok(e) = fleet.events().try_recv() {
+        handle(e);
+    }
+    println!("\n{decisions} decisions; the uplink retried {retries} shed submissions");
 
     // Graceful shutdown: reclaim the monitor and persist the (self-
     // enhanced) model for the next session.
-    let monitor = supervisor.shutdown();
+    let (_, monitor) = fleet.shutdown().expect("shutdown").pop().expect("one premises");
     let stats = monitor.stats();
     println!(
-        "\nsession: {} scans, {} in / {} out, {} alerts, {} online model updates",
+        "session: {} scans, {} in / {} out, {} alerts, {} online model updates",
         stats.scans, stats.in_decisions, stats.out_decisions, stats.alerts, stats.model_updates
     );
     monitor.gem().save(&model_path).expect("save updated model");

@@ -153,17 +153,12 @@ fn bench_paths(c: &mut Criterion, fx: &Fixture) {
     group.finish();
 }
 
-/// Detector scoring A/B: the f64 histogram scorer versus the int8
-/// quantized LUT scorer, over the streamed records' embeddings. Also
-/// audits the quantized decisions against the f64 decisions — a flip is
-/// only legal when the f64 score sits within the quantizer's documented
-/// error bound of the threshold it crossed. Returns the number of
-/// decision flips (recorded into the bench line, gated here).
-fn bench_scoring(c: &mut Criterion, fx: &Fixture) -> usize {
+/// Detector scoring: the histogram scorer over the training records'
+/// embeddings.
+fn bench_scoring(c: &mut Criterion, fx: &Fixture) {
     let train = fx.model.embed_all_records(&fx.graph);
     // Same detector construction as `Gem::fit` with GemConfig defaults.
     let det = EnhancedDetector::fit_calibrated(&train, 10, 0.06, 0.005, 0.001, 0.98, 0.90);
-    let qdet = det.quantized();
     let samples: Vec<Vec<f32>> = (0..train.rows()).map(|i| train.row(i).to_vec()).collect();
 
     let mut group = c.benchmark_group("detector_scoring");
@@ -178,39 +173,7 @@ fn bench_scoring(c: &mut Criterion, fx: &Fixture) -> usize {
             })
         });
     }
-    {
-        let mut idx = 0usize;
-        group.bench_function("score_quantized", |b| {
-            b.iter(|| {
-                let s = &samples[idx % samples.len()];
-                idx += 1;
-                black_box(qdet.score(black_box(s)))
-            })
-        });
-    }
     group.finish();
-
-    let margin = qdet.max_score_error();
-    let mut flips = 0usize;
-    for s in &samples {
-        let d = det.detect(s);
-        let q = qdet.detect(s);
-        if d.is_outlier != q.is_outlier {
-            flips += 1;
-            assert!(
-                (d.score - det.tau_u).abs() <= margin,
-                "quantized outlier flip outside the error margin: f64 score {} vs tau_u {} \
-                 (margin {margin})",
-                d.score,
-                det.tau_u
-            );
-        }
-    }
-    println!(
-        "detector decisions: {flips}/{} quantized flips, all within margin {margin:.2e}",
-        samples.len()
-    );
-    flips
 }
 
 /// Steady-state audit of the warm single-record engine path: cache hit
@@ -268,15 +231,9 @@ struct InferBenchLine {
     /// Which kernel backend the dispatcher resolved for this run.
     kernel_backend: &'static str,
     score_f64_median_ns: f64,
-    score_quantized_median_ns: f64,
-    /// f64-vs-int8 scoring speedup; gated to >= 1.5x on full runs.
-    quantized_scoring_speedup: f64,
-    /// Quantized-vs-f64 outlier decision flips over the training set
-    /// (each one verified to sit within the quantizer's error margin).
-    quantized_decision_flips: usize,
 }
 
-fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>, flips: usize) {
+fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>) {
     let find = |name: &str| {
         c.reports()
             .iter()
@@ -287,20 +244,11 @@ fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>, flips:
     let engine = find("engine_single");
     let batch = find("engine_batch");
     let score_f64 = find("score_f64");
-    let score_quant = find("score_quantized");
     let speedup = tape.median_ns / engine.median_ns;
     assert!(
         speedup >= 3.0,
         "engine single-record path must be >=3x the tape path, measured {speedup:.2}x"
     );
-    let quant_speedup = score_f64.median_ns / score_quant.median_ns;
-    // Quick-mode runs take 2 samples — too noisy for a hard ratio gate.
-    if std::env::var("GEM_BENCH_QUICK").as_deref() != Ok("1") {
-        assert!(
-            quant_speedup >= 1.5,
-            "int8 quantized scoring must be >=1.5x the f64 scorer, measured {quant_speedup:.2}x"
-        );
-    }
     let line = InferBenchLine {
         bench: "infer",
         pool_threads: gem_par::num_threads(),
@@ -316,9 +264,6 @@ fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>, flips:
         allocs_per_inference: alloc_total,
         kernel_backend: gem_nn::kernels::backend_name(),
         score_f64_median_ns: score_f64.median_ns,
-        score_quantized_median_ns: score_quant.median_ns,
-        quantized_scoring_speedup: quant_speedup,
-        quantized_decision_flips: flips,
     };
     let json = serde_json::to_string(&line).expect("serialize bench line");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_infer.json");
@@ -346,8 +291,8 @@ fn main() {
     let mut c = Criterion::default();
     let fx = fixture();
     bench_paths(&mut c, &fx);
-    let flips = bench_scoring(&mut c, &fx);
+    bench_scoring(&mut c, &fx);
     let (hit_rate, alloc_total) = audit_steady_state(&fx);
     c.final_summary();
-    append_results(&c, hit_rate, alloc_total, flips);
+    append_results(&c, hit_rate, alloc_total);
 }

@@ -32,13 +32,13 @@ use criterion::Criterion;
 use gem_bench::allocs;
 use gem_core::{BiSage, BiSageConfig, StepEvent};
 use gem_graph::{BipartiteGraph, WeightFn};
-use gem_nn::kernels::{self, Precision};
+use gem_nn::kernels;
 use gem_nn::{init, Backend};
 use gem_signal::rng::child_rng;
 use gem_signal::{MacAddr, SignalRecord};
 
-/// Records in clusters of 20 sharing a 10-MAC block (same shape as the
-/// model_ops bench, scaled up so `fit` has real work per epoch).
+/// Records in clusters of 20 sharing a 10-MAC block, enough of them
+/// that `fit` has real work per epoch.
 fn cluster_graph(n: u64) -> BipartiteGraph {
     let mut g = BipartiteGraph::new(WeightFn::default());
     for i in 0..n {
@@ -97,7 +97,6 @@ fn bench_kernels(c: &mut Criterion) {
             out.fill(0.0);
             kernels::matmul_with(
                 Backend::Scalar,
-                Precision::Strict,
                 black_box(a.data()),
                 black_box(b.data()),
                 &mut out,
@@ -113,7 +112,6 @@ fn bench_kernels(c: &mut Criterion) {
             out.fill(0.0);
             kernels::matmul_tn_with(
                 Backend::Scalar,
-                Precision::Strict,
                 black_box(a_t.data()),
                 black_box(b.data()),
                 &mut out,
@@ -133,16 +131,7 @@ fn bench_kernels(c: &mut Criterion) {
                 }
             }
             out.fill(0.0);
-            kernels::matmul_with(
-                Backend::Scalar,
-                Precision::Strict,
-                black_box(a.data()),
-                &packed,
-                &mut out,
-                m,
-                k,
-                n,
-            );
+            kernels::matmul_with(Backend::Scalar, black_box(a.data()), &packed, &mut out, m, k, n);
             black_box(out[0])
         })
     });

@@ -118,37 +118,6 @@ fn validate_file(path: &Path) -> Vec<String> {
     errors
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fields(spec: &str) -> Value {
-        serde_json::from_str(spec).unwrap()
-    }
-
-    #[test]
-    fn optional_fields_may_be_absent_but_must_type_check() {
-        let schema = fields("{\"count\":\"number\",\"p50_ns\":\"?number\"}");
-        let mut errors = Vec::new();
-        check_fields(&fields("{\"count\":0}"), &schema, "t", &mut errors);
-        assert!(errors.is_empty(), "absent optional field must pass: {errors:?}");
-        check_fields(&fields("{\"count\":1,\"p50_ns\":42}"), &schema, "t", &mut errors);
-        assert!(errors.is_empty(), "present optional field must pass: {errors:?}");
-        check_fields(&fields("{\"count\":1,\"p50_ns\":\"no\"}"), &schema, "t", &mut errors);
-        assert_eq!(errors.len(), 1, "mistyped optional field must fail");
-        assert!(errors[0].contains("p50_ns"), "{errors:?}");
-    }
-
-    #[test]
-    fn required_fields_still_fail_when_missing() {
-        let schema = fields("{\"count\":\"number\"}");
-        let mut errors = Vec::new();
-        check_fields(&fields("{}"), &schema, "t", &mut errors);
-        assert_eq!(errors.len(), 1);
-        assert!(errors[0].contains("missing field `count`"), "{errors:?}");
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<PathBuf> = std::env::args().skip(1).map(PathBuf::from).collect();
     let files: Vec<PathBuf> = if args.is_empty() {
@@ -188,5 +157,36 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fields(spec: &str) -> Value {
+        serde_json::from_str(spec).unwrap()
+    }
+
+    #[test]
+    fn optional_fields_may_be_absent_but_must_type_check() {
+        let schema = fields("{\"count\":\"number\",\"p50_ns\":\"?number\"}");
+        let mut errors = Vec::new();
+        check_fields(&fields("{\"count\":0}"), &schema, "t", &mut errors);
+        assert!(errors.is_empty(), "absent optional field must pass: {errors:?}");
+        check_fields(&fields("{\"count\":1,\"p50_ns\":42}"), &schema, "t", &mut errors);
+        assert!(errors.is_empty(), "present optional field must pass: {errors:?}");
+        check_fields(&fields("{\"count\":1,\"p50_ns\":\"no\"}"), &schema, "t", &mut errors);
+        assert_eq!(errors.len(), 1, "mistyped optional field must fail");
+        assert!(errors[0].contains("p50_ns"), "{errors:?}");
+    }
+
+    #[test]
+    fn required_fields_still_fail_when_missing() {
+        let schema = fields("{\"count\":\"number\"}");
+        let mut errors = Vec::new();
+        check_fields(&fields("{}"), &schema, "t", &mut errors);
+        assert_eq!(errors.len(), 1);
+        assert!(errors[0].contains("missing field `count`"), "{errors:?}");
     }
 }

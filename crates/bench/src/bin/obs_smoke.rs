@@ -139,8 +139,9 @@ fn main() {
         ..FleetConfig::default()
     };
     let fleet = Fleet::spawn(monitors, cfg).unwrap();
-    let server = MetricsServer::bind_with_traces("127.0.0.1:0", fleet.registry(), fleet.trace_rings())
-        .expect("bind metrics");
+    let server =
+        MetricsServer::bind_with_traces("127.0.0.1:0", fleet.registry(), fleet.trace_rings())
+            .expect("bind metrics");
     let addr = server.local_addr();
     println!("metrics on http://{addr}/metrics");
 
@@ -285,11 +286,8 @@ fn main() {
     }
     // The decision-latency histogram's bucket exemplars must point back
     // at spans that were actually retained in the drain above.
-    let exemplars: Vec<&str> = json_body
-        .split("\"exemplar\":\"")
-        .skip(1)
-        .map(|rest| &rest[..16])
-        .collect();
+    let exemplars: Vec<&str> =
+        json_body.split("\"exemplar\":\"").skip(1).map(|rest| &rest[..16]).collect();
     assert!(!exemplars.is_empty(), "traced run must expose at least one bucket exemplar");
     for ex in &exemplars {
         assert!(

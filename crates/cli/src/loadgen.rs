@@ -375,10 +375,9 @@ fn run_device(
         // Refill the window: keep at most `window` records unresolved
         // (sent but neither decided nor shed).
         while sent < total && sent - decided - shed < window {
-            let trace = span_ids.as_ref().map(|gen| WireTrace {
-                trace_id: gen.next_id(),
-                parent_span: gen.next_id(),
-            });
+            let trace = span_ids
+                .as_ref()
+                .map(|gen| WireTrace { trace_id: gen.next_id(), parent_span: gen.next_id() });
             let frame = Frame::Record { premises_id, record: day[sent].record.clone(), trace };
             wire::write_frame(&mut writer, &frame, &mut wbuf)
                 .map_err(|e| ctx(&format!("sending record {sent}"), &e))?;

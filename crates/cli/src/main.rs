@@ -342,9 +342,12 @@ fn fleet(args: &Args) -> Result<(), String> {
     // ride along so `/trace.jsonl` serves retained spans.
     let _metrics_server = match args.get_parsed::<String>("metrics-addr")? {
         Some(addr) => {
-            let server =
-                gem_obs::MetricsServer::bind_with_traces(&addr, fleet.registry(), fleet.trace_rings())
-                    .map_err(|e| format!("binding metrics server on {addr}: {e}"))?;
+            let server = gem_obs::MetricsServer::bind_with_traces(
+                &addr,
+                fleet.registry(),
+                fleet.trace_rings(),
+            )
+            .map_err(|e| format!("binding metrics server on {addr}: {e}"))?;
             say!("serving metrics on http://{}/metrics", server.local_addr());
             Some(server)
         }
@@ -521,9 +524,12 @@ fn serve(args: &Args) -> Result<(), String> {
 
     let _metrics_server = match args.get_parsed::<String>("metrics-addr")? {
         Some(addr) => {
-            let server =
-                gem_obs::MetricsServer::bind_with_traces(&addr, fleet.registry(), fleet.trace_rings())
-                    .map_err(|e| format!("binding metrics server on {addr}: {e}"))?;
+            let server = gem_obs::MetricsServer::bind_with_traces(
+                &addr,
+                fleet.registry(),
+                fleet.trace_rings(),
+            )
+            .map_err(|e| format!("binding metrics server on {addr}: {e}"))?;
             say!("serving metrics on http://{}/metrics", server.local_addr());
             Some(server)
         }

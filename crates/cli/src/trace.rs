@@ -16,6 +16,7 @@
 //! the process exits nonzero — CI uses this to prove the attribution
 //! stays honest as stages are added or reshaped.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use serde_json::Value;
@@ -80,9 +81,10 @@ pub fn run(args: &Args) -> Result<(), String> {
             let value: Value = serde_json::from_str(line)
                 .map_err(|e| format!("{path}:{}: not JSON: {e}", lineno + 1))?;
             match field(&value, "kind").and_then(Value::as_str) {
-                Some("span") => spans.push(parse_span(&value).map_err(|e| {
-                    format!("{path}:{}: malformed span event: {e}", lineno + 1)
-                })?),
+                Some("span") => spans
+                    .push(parse_span(&value).map_err(|e| {
+                        format!("{path}:{}: malformed span event: {e}", lineno + 1)
+                    })?),
                 Some("span_ack") => {
                     let (trace, ns) = parse_ack(&value).map_err(|e| {
                         format!("{path}:{}: malformed span_ack event: {e}", lineno + 1)
@@ -158,7 +160,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
 
     // The critical path: the slowest records, each decomposed.
-    spans.sort_by(|a, b| b.e2e_ns.cmp(&a.e2e_ns));
+    spans.sort_by_key(|s| Reverse(s.e2e_ns));
     let n = slowest.min(spans.len());
     if n > 0 {
         say!("");
@@ -188,7 +190,11 @@ pub fn run(args: &Args) -> Result<(), String> {
                 span.shard,
                 span.sampled,
                 fmt_ns(span.e2e_ns),
-                if breakdown.is_empty() { "all stages < 1ns".to_string() } else { breakdown.join(", ") },
+                if breakdown.is_empty() {
+                    "all stages < 1ns".to_string()
+                } else {
+                    breakdown.join(", ")
+                },
                 ack
             );
         }
@@ -290,12 +296,9 @@ mod tests {
 
     #[test]
     fn spans_parse_with_full_attribution() {
-        let value: Value = serde_json::from_str(&span_line(
-            "00000000000000ab",
-            1000,
-            [100, 200, 0, 400, 200, 50],
-        ))
-        .unwrap();
+        let value: Value =
+            serde_json::from_str(&span_line("00000000000000ab", 1000, [100, 200, 0, 400, 200, 50]))
+                .unwrap();
         let span = parse_span(&value).unwrap();
         assert_eq!(span.trace, "00000000000000ab");
         assert_eq!(span.stages, [100, 200, 0, 400, 200, 50]);

@@ -27,7 +27,7 @@ use serde::Serialize;
 
 use gem_graph::{BipartiteGraph, NegativeTable, NodeId, RecordId, WalkConfig, WalkPairs};
 use gem_nn::tape::{Activation, GradStore, Graph, ParamId, ParamStore, Var};
-use gem_nn::{init, Adam, Optimizer, Precision, Tensor, TensorArena};
+use gem_nn::{init, Adam, Optimizer, Tensor, TensorArena};
 use gem_signal::rng::child_rng;
 
 /// Neighborhood aggregator choice (paper: "e.g. MEAN(·) or MAX(·)"; GEM
@@ -107,15 +107,6 @@ pub struct BiSageConfig {
     /// Bit-identical to the dense update (a proptest enforces it) — this
     /// flag only trades per-step cost `O(table)` for `O(touched rows)`.
     pub sparse_adam: bool,
-    /// Run the training tape's matmul forward/backward kernels with
-    /// fused multiply-adds (single rounding per accumulate, double the
-    /// peak FLOPs on FMA hardware). Results stay deterministic for any
-    /// thread count — the chunk-ordered reduction is untouched — and
-    /// bitwise reproducible across runs on the same kernel backend, but
-    /// are *not* bit-comparable with the default strictly-rounded path,
-    /// so the flag defaults off and old serialized configs load as off.
-    #[serde(default)]
-    pub fused_kernels: bool,
     /// Seed for all training/inference randomness.
     pub seed: u64,
 }
@@ -142,7 +133,6 @@ impl Default for BiSageConfig {
             num_threads: 0,
             grad_accum: 2,
             sparse_adam: true,
-            fused_kernels: false,
             seed: 42,
         }
     }
@@ -1109,13 +1099,6 @@ impl BiSage {
                 zeros,
                 index_shape,
             } = buf;
-            // The buffers are thread-local and shared across models, so
-            // (re)assert this model's precision policy every chunk.
-            g.set_precision(if self.cfg.fused_kernels {
-                Precision::Fused
-            } else {
-                Precision::Strict
-            });
             let (h_all, l_all) = self.forward(g, tree, Some(store), Some(params), fs);
 
             // Selection/target vectors depend only on `(b, kn)`; rebuild

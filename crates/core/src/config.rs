@@ -95,11 +95,6 @@ pub struct GemConfig {
     /// base-embedding tables (see `BiSageConfig::sparse_adam`).
     /// Bit-identical to the dense update, just faster.
     pub sparse_adam: bool,
-    /// Fused multiply-add training kernels (see
-    /// `BiSageConfig::fused_kernels`): faster on FMA hardware and still
-    /// deterministic, but not bit-comparable with the strict default.
-    #[serde(default)]
-    pub fused_kernels: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -139,7 +134,6 @@ impl Default for GemConfig {
             num_threads: 0,
             grad_accum: 2,
             sparse_adam: true,
-            fused_kernels: false,
             seed: 42,
         }
     }
@@ -168,7 +162,6 @@ impl GemConfig {
             num_threads: self.num_threads,
             grad_accum: self.grad_accum,
             sparse_adam: self.sparse_adam,
-            fused_kernels: self.fused_kernels,
             seed: self.seed,
         }
     }

@@ -185,23 +185,6 @@ impl EnhancedDetector {
     pub fn n_samples(&self) -> usize {
         self.hist.n_samples()
     }
-
-    /// Snapshots the detector into its int8 serving twin: per-bin scores
-    /// precomputed and quantized (per-dimension scale + zero-point),
-    /// normalization bounds, temperature and thresholds copied verbatim,
-    /// decisions made from the f64-rescaled quantized raw score. The
-    /// snapshot is frozen — re-snapshot after online updates (see
-    /// [`crate::quant::QuantizedDetector::is_stale`]).
-    pub fn quantized(&self) -> crate::quant::QuantizedDetector {
-        crate::quant::QuantizedDetector::new(
-            crate::quant::QuantizedScorer::from_hist(&self.hist),
-            self.score_min,
-            self.score_max,
-            self.temperature,
-            self.tau_u,
-            self.tau_l,
-        )
-    }
 }
 
 /// The original histogram-based algorithm (paper's description of \[17\]):

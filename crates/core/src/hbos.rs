@@ -129,33 +129,6 @@ impl HistogramModel {
     pub fn raw_scores(&self, embeddings: &Tensor) -> Vec<f64> {
         (0..embeddings.rows()).map(|i| self.raw_score(embeddings.row(i))).collect()
     }
-
-    /// Per-dimension fitted value ranges `(mins, maxs)` — the binning
-    /// geometry a quantized scorer snapshot copies.
-    pub(crate) fn ranges(&self) -> (&[f32], &[f32]) {
-        (&self.mins, &self.maxs)
-    }
-
-    /// Per-bin score contributions in `raw_score`'s exact arithmetic:
-    /// a row-major `dim × (bins + 1)` table where entry `[j][b]` is
-    /// `ln(1/height)` of bin `b` in dimension `j` and the extra final
-    /// column is the out-of-distribution (empty-bin floor) score. A
-    /// lookup into this table is bit-identical to the corresponding
-    /// [`HistogramModel::raw_score`] per-dimension term.
-    pub(crate) fn score_table(&self) -> Vec<f64> {
-        let mut table = Vec::with_capacity(self.dim * (self.bins + 1));
-        for j in 0..self.dim {
-            let row = &self.counts[j * self.bins..(j + 1) * self.bins];
-            let max_count = row.iter().cloned().fold(0.0f64, f64::max).max(1.0);
-            let floor = 0.5 / max_count;
-            for &c in row {
-                let height = (c / max_count).max(floor);
-                table.push((1.0 / height).ln());
-            }
-            table.push((1.0 / floor).ln());
-        }
-        table
-    }
 }
 
 #[cfg(test)]

@@ -55,19 +55,9 @@ use crate::bisage::{node_row, normalize_into, Aggregator, BiSage, Tree};
 /// Fan out batched neighborhood collection above this many items.
 const PAR_THRESHOLD: usize = 32;
 
-/// Cached round-1 carrier aggregate `l¹` of one MAC node. Exactly one
-/// of `l1` / `ql1` is populated, per the engine's cache mode: f32 rows
-/// by default, or int8 codes with a per-row scale and zero-point when
-/// [`InferenceEngine::set_quantized_cache`] is on (4x smaller, each
-/// element within `scale/2` of the f32 value).
+/// Cached round-1 carrier aggregate `l¹` of one MAC node.
 struct MacEntry {
     l1: Vec<f32>,
-    /// Int8 codes of the row (quantized mode only).
-    ql1: Vec<i8>,
-    /// Dequantization scale (`x ≈ scale·code + zero`).
-    scale: f32,
-    /// Dequantization zero-point (midpoint of the row's value range).
-    zero: f32,
     /// Trust epoch the entry was computed under.
     trust_epoch: u64,
     /// MAC degree at computation time; any new edge invalidates.
@@ -78,21 +68,6 @@ struct MacEntry {
     /// streamed targets themselves, or a raw-neighborhood fallback) —
     /// reusable only within the producing call.
     volatile_call: Option<u64>,
-}
-
-impl MacEntry {
-    /// `dst += w · l¹` in the entry's representation: the dispatched
-    /// axpy for f32 rows, or the dequantizing int8 kernel with the
-    /// weight folded into scale and zero-point (`w·(s·q + z) =
-    /// (w·s)·q + w·z`).
-    #[inline]
-    fn accumulate_into(&self, dst: &mut [f32], w: f32) {
-        if self.ql1.is_empty() {
-            kernels::axpy(dst, w, &self.l1);
-        } else {
-            kernels::axpy_dequant_i8(dst, w * self.scale, w * self.zero, &self.ql1);
-        }
-    }
 }
 
 /// Cache hit/miss counters of an [`InferenceEngine`].
@@ -125,8 +100,6 @@ impl CacheStats {
 pub struct InferenceEngine {
     /// Per-MAC cache, indexed by MAC id.
     entries: Vec<Option<MacEntry>>,
-    /// Store cached rows as int8 codes instead of f32 (opt-in).
-    quantized_cache: bool,
     trust_epoch: u64,
     call_id: u64,
     hits: u64,
@@ -167,7 +140,6 @@ impl InferenceEngine {
     pub fn new() -> Self {
         InferenceEngine {
             entries: Vec::new(),
-            quantized_cache: false,
             trust_epoch: 0,
             call_id: 0,
             hits: 0,
@@ -192,24 +164,6 @@ impl InferenceEngine {
             cur: Vec::new(),
             next: Vec::new(),
         }
-    }
-
-    /// Switches the per-MAC aggregate cache between f32 rows (default,
-    /// bitwise identical to the tape) and int8 rows with per-row scale
-    /// and zero-point (4x smaller; aggregates dequantize through the
-    /// SIMD `axpy_dequant_i8` kernel, each cached element within
-    /// `scale/2` of its f32 value). Toggling invalidates the cache so
-    /// the two representations never mix.
-    pub fn set_quantized_cache(&mut self, on: bool) {
-        if self.quantized_cache != on {
-            self.quantized_cache = on;
-            self.invalidate();
-        }
-    }
-
-    /// Whether the aggregate cache stores int8 rows.
-    pub fn quantized_cache(&self) -> bool {
-        self.quantized_cache
     }
 
     /// Invalidates every cache entry (model refit, provisional-base
@@ -338,7 +292,6 @@ impl InferenceEngine {
             store_entry(
                 &mut self.entries[mid as usize],
                 self.lin.row(0),
-                self.quantized_cache,
                 self.trust_epoch,
                 degree_now,
                 filtered_now,
@@ -351,7 +304,7 @@ impl InferenceEngine {
         self.agg.resize(d, 0.0);
         for &(mid, w) in &self.macs0 {
             let e = self.entries[mid as usize].as_ref().expect("entry ensured above");
-            e.accumulate_into(&mut self.agg, w);
+            kernels::axpy(&mut self.agg, w, &e.l1);
         }
         self.cat.reset_to(1, 2 * d);
         self.cat.row_mut(0)[..d].copy_from_slice(&self.h1);
@@ -554,7 +507,6 @@ impl InferenceEngine {
                 store_entry(
                     &mut self.entries[mid as usize],
                     self.lin_b.row(i),
-                    self.quantized_cache,
                     self.trust_epoch,
                     degree_now,
                     filtered_now,
@@ -572,7 +524,7 @@ impl InferenceEngine {
             let (lo, hi) = (self.seg_offs[i] as usize, self.seg_offs[i + 1] as usize);
             for &(mid, w) in &self.seg_macs[lo..hi] {
                 let e = self.entries[mid as usize].as_ref().expect("entry ensured in stage B");
-                e.accumulate_into(&mut row[d..], w);
+                kernels::axpy(&mut row[d..], w, &e.l1);
             }
         }
         self.cat_b.matmul_into(&model.w_h[1], &mut out);
@@ -722,11 +674,10 @@ fn entry_valid(
 }
 
 /// Overwrites a cache slot in place (no allocation once the slot has
-/// seen the row length, in either representation).
+/// seen the row length).
 fn store_entry(
     slot: &mut Option<MacEntry>,
     l1: &[f32],
-    quantize: bool,
     trust_epoch: u64,
     degree: u32,
     filtered: bool,
@@ -734,9 +685,6 @@ fn store_entry(
 ) {
     let e = slot.get_or_insert_with(|| MacEntry {
         l1: Vec::new(),
-        ql1: Vec::new(),
-        scale: 0.0,
-        zero: 0.0,
         trust_epoch,
         degree,
         filtered,
@@ -746,28 +694,6 @@ fn store_entry(
     e.degree = degree;
     e.filtered = filtered;
     e.volatile_call = volatile_call;
-    if quantize {
-        e.l1.clear();
-        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-        for &x in l1 {
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
-        let zero = 0.5 * (lo + hi);
-        let scale = (hi - lo) / 254.0;
-        e.zero = zero;
-        e.scale = scale;
-        e.ql1.clear();
-        e.ql1.extend(l1.iter().map(|&x| {
-            if scale > 0.0 {
-                ((x - zero) / scale).round().clamp(-127.0, 127.0) as i8
-            } else {
-                0
-            }
-        }));
-    } else {
-        e.ql1.clear();
-        e.l1.clear();
-        e.l1.extend_from_slice(l1);
-    }
+    e.l1.clear();
+    e.l1.extend_from_slice(l1);
 }

@@ -27,7 +27,6 @@ pub mod infer;
 pub mod pca;
 pub mod persist;
 pub mod pipeline;
-pub mod quant;
 
 pub use bisage::{obs_step_recorder, Aggregator, BiSage, BiSageConfig, StepEvent};
 pub use config::GemConfig;
@@ -40,4 +39,3 @@ pub use persist::{
     fnv1a64, fnv1a64_hex, FleetManifest, GemSnapshot, PersistError, PremisesEntry, MANIFEST_FILE,
 };
 pub use pipeline::{Embedder, OutlierModel, Pipeline};
-pub use quant::{QuantizedDetector, QuantizedScorer};

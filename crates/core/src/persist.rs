@@ -47,7 +47,7 @@ const VERSION: u32 = 1;
 /// image is never mistaken for the JSON export (which opens with `{`).
 const IMAGE_MAGIC: [u8; 4] = *b"\x89GEM";
 /// Binary image layout version, checked before any field is decoded.
-const IMAGE_VERSION: u32 = 1;
+const IMAGE_VERSION: u32 = 2;
 
 /// A complete serialized GEM system.
 #[derive(Serialize, Deserialize)]
@@ -596,11 +596,19 @@ mod tests {
             assert_eq!(back.to_json().unwrap(), json);
             assert_eq!(back.to_image(), image);
         }
-        // Wrong version, truncation, trailing bytes and unknown leading
-        // bytes all refuse.
-        let mut wrong = image.clone();
-        wrong[4] ^= 1;
-        assert!(matches!(GemSnapshot::from_image(&wrong), Err(PersistError::Incompatible(_))));
+        // A JSON export written before the `fused_kernels` flags were
+        // removed still loads: its extra keys are ignored.
+        let legacy =
+            json.replace("\"sparse_adam\":true", "\"sparse_adam\":true,\"fused_kernels\":true");
+        assert_eq!(legacy.matches("\"fused_kernels\"").count(), 2);
+        assert_eq!(GemSnapshot::from_image(legacy.as_bytes()).unwrap().to_image(), image);
+        // Another layout version (the version 1 layout included),
+        // truncation, trailing bytes and unknown leading bytes all refuse.
+        for version in [1, IMAGE_VERSION + 1] {
+            let mut wrong = image.clone();
+            wrong[4..8].copy_from_slice(&u32::to_le_bytes(version));
+            assert!(matches!(GemSnapshot::from_image(&wrong), Err(PersistError::Incompatible(_))));
+        }
         for cut in [0, 3, 7, 8, image.len() / 2, image.len() - 1] {
             assert!(matches!(GemSnapshot::from_image(&image[..cut]), Err(PersistError::Format(_))));
         }

@@ -298,59 +298,4 @@ proptest! {
         let b = full.embed_all_records(&graph);
         prop_assert_eq!(bits_of(a.data()), bits_of(b.data()), "targeted ensure diverged");
     }
-
-    /// The int8 quantized level-1 cache is an opt-in approximation: it
-    /// must stay within a small absolute error of the exact engine, be
-    /// deterministic (two quantized engines agree bitwise), and a
-    /// toggle back to exact mode must drop every quantized entry and
-    /// restore bitwise parity with a cold exact engine.
-    #[test]
-    fn quantized_cache_tracks_exact_engine(s in ScenarioStrategy) {
-        let (mut model, mut graph, mut rng) = fit_model(&s);
-        let mut trusted: Vec<bool> = vec![true; graph.n_records()];
-        let mut rids = Vec::new();
-        for (i, rec) in s.streamed.iter().enumerate() {
-            rids.push(graph.add_record(&to_record(i, rec)));
-            trusted.push(s.trusted_streamed[i]);
-        }
-        {
-            let bits: &[bool] = &trusted;
-            let filter = move |r: RecordId| bits[r.0 as usize];
-            model.ensure_rows_filtered(&graph, &mut rng, Some(&filter));
-        }
-        let mut exact = InferenceEngine::new();
-        let mut quant_a = InferenceEngine::new();
-        let mut quant_b = InferenceEngine::new();
-        quant_a.set_quantized_cache(true);
-        quant_b.set_quantized_cache(true);
-        for &rid in &rids {
-            let want = exact.embed_record(&model, &graph, rid, Some(&trusted));
-            let got_a = quant_a.embed_record(&model, &graph, rid, Some(&trusted));
-            let got_b = quant_b.embed_record(&model, &graph, rid, Some(&trusted));
-            prop_assert_eq!(
-                bits_of(&got_a),
-                bits_of(&got_b),
-                "quantized engines diverged on record {}",
-                rid.0
-            );
-            for (q, e) in got_a.iter().zip(&want) {
-                prop_assert!(
-                    (q - e).abs() <= 0.1,
-                    "quantized embedding {} too far from exact {} at record {}",
-                    q, e, rid.0
-                );
-            }
-        }
-        // Toggling back to exact invalidates the quantized entries and
-        // restores bitwise parity with a cold exact engine.
-        quant_a.set_quantized_cache(false);
-        let probe = rids[rids.len() / 2];
-        let restored = quant_a.embed_record(&model, &graph, probe, Some(&trusted));
-        let cold = InferenceEngine::new().embed_record(&model, &graph, probe, Some(&trusted));
-        prop_assert_eq!(
-            bits_of(&restored),
-            bits_of(&cold),
-            "disabling the quantized cache must restore exact results"
-        );
-    }
 }

@@ -96,15 +96,10 @@ fn config(s: &Scenario) -> BiSageConfig {
 
 /// Train and return the final record embeddings as raw bit patterns.
 fn fit_bits(s: &Scenario, sparse_adam: bool, num_threads: usize) -> Vec<u32> {
-    fit_bits_fused(s, sparse_adam, num_threads, false)
-}
-
-fn fit_bits_fused(s: &Scenario, sparse_adam: bool, num_threads: usize, fused: bool) -> Vec<u32> {
     let g = build_graph(s);
     let mut cfg = config(s);
     cfg.sparse_adam = sparse_adam;
     cfg.num_threads = num_threads;
-    cfg.fused_kernels = fused;
     let mut model = BiSage::new(cfg);
     model.fit(&g);
     model.embed_all_records(&g).data().iter().map(|x| x.to_bits()).collect()
@@ -128,17 +123,6 @@ proptest! {
         let seq = fit_bits(&s, true, 1);
         let pooled = fit_bits(&s, true, 0);
         prop_assert_eq!(seq, pooled, "pooled fit diverged from sequential");
-    }
-
-    /// The fused (FMA) training path must keep the same determinism
-    /// guarantee: correctly rounded FMAs are reproducible across thread
-    /// counts, so pool ≡ sequential holds bitwise under
-    /// `fused_kernels: true` too.
-    #[test]
-    fn fused_pooled_fit_is_bitwise_sequential(s in ScenarioStrategy) {
-        let seq = fit_bits_fused(&s, true, 1, true);
-        let pooled = fit_bits_fused(&s, true, 0, true);
-        prop_assert_eq!(seq, pooled, "fused pooled fit diverged from fused sequential");
     }
 
     /// Arbitrary intermediate thread counts (capped through

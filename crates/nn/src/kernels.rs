@@ -2,9 +2,8 @@
 //!
 //! Every hot loop of the numeric stack funnels through this module: the
 //! blocked matmul cores, the `y += α·x` accumulate (axpy) that dominates
-//! neighborhood aggregation, the LeakyReLU activation sweep, the Jacobi
-//! row rotation of the f64 eigensolver, and the int8 dequantizing
-//! accumulate of the quantized inference cache. Each kernel has an
+//! neighborhood aggregation, the LeakyReLU activation sweep and the
+//! Jacobi row rotation of the f64 eigensolver. Each kernel has an
 //! arch-agnostic scalar reference and, on `x86_64`, an AVX2 variant
 //! selected **once** at startup via `is_x86_feature_detected!` — std
 //! only, no new dependencies. Setting `GEM_FORCE_SCALAR=1` pins the
@@ -21,23 +20,9 @@
 //! of adds in ascending-`k` order (the invariant the training
 //! determinism proptests pin), and no reduction is ever reassociated.
 //! Order-sensitive reductions (row sums, norms, dot products) are *not*
-//! vectorized for exactly that reason.
-//!
-//! # Precision policy
-//!
-//! [`Precision::Strict`] (the default everywhere) rounds the multiply
-//! and the add of every `acc + a·b` separately — the historical scalar
-//! semantics. [`Precision::Fused`] contracts them into one correctly
-//! rounded fused multiply-add (`vfmaddps` on AVX2/FMA, `f32::mul_add`
-//! on the scalar path): higher internal precision *and* double the
-//! peak FLOPs, at the price of differing from `Strict` by up to an ULP
-//! per accumulation step. Crucially both the scalar and the SIMD
-//! `Fused` paths use correctly rounded FMAs, so `Fused` results are
-//! *also* bitwise reproducible across backends — the fused training
-//! path stays deterministic for any thread count and any machine that
-//! runs the same backend. Only opt-in training code uses `Fused`
-//! (see `BiSageConfig::fused_kernels` in `gem-core`); inference and
-//! every parity-tested path stay `Strict`.
+//! vectorized for exactly that reason. Every `acc + a·b` rounds the
+//! multiply and the add separately; no kernel contracts them into a
+//! fused multiply-add.
 
 use std::sync::OnceLock;
 
@@ -46,7 +31,7 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Arch-agnostic scalar reference (also the forced-CI mode).
     Scalar,
-    /// AVX2 (+FMA for [`Precision::Fused`]) `std::arch` kernels.
+    /// AVX2 `std::arch` kernels.
     Avx2,
 }
 
@@ -60,22 +45,8 @@ impl Backend {
     }
 }
 
-/// Rounding policy of the multiply-accumulate inner ops.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Precision {
-    /// Separately rounded multiply and add — bit-identical to the
-    /// historical scalar kernels. The default.
-    #[default]
-    Strict,
-    /// Correctly rounded fused multiply-add (higher internal precision,
-    /// faster on FMA hardware; differs from `Strict` by ≤ 1 ULP per
-    /// accumulation step, still bitwise reproducible per backend pair —
-    /// scalar `f32::mul_add` and AVX2 `vfmadd` round identically).
-    Fused,
-}
-
 /// The process-wide dispatch decision, resolved once on first use:
-/// AVX2+FMA when the CPU has them and `GEM_FORCE_SCALAR` is not `1`.
+/// AVX2 when the CPU has it and `GEM_FORCE_SCALAR` is not `1`.
 pub fn backend() -> Backend {
     static BACKEND: OnceLock<Backend> = OnceLock::new();
     *BACKEND.get_or_init(|| {
@@ -84,9 +55,7 @@ pub fn backend() -> Backend {
         }
         #[cfg(target_arch = "x86_64")]
         {
-            // FMA is required even for Strict-only use so one detected
-            // backend serves both precisions.
-            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+            if std::is_x86_feature_detected!("avx2") {
                 return Backend::Avx2;
             }
         }
@@ -114,15 +83,13 @@ const K_PANEL: usize = 256;
 /// ascending-`k` order on every backend.
 #[inline]
 pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_with(backend(), Precision::Strict, a, b, out, m, k, n);
+    matmul_with(backend(), a, b, out, m, k, n);
 }
 
-/// [`matmul`] with an explicit backend and precision (bench/test hook;
-/// the dispatched entry points always pass [`backend()`]).
-#[allow(clippy::too_many_arguments)]
+/// [`matmul`] with an explicit backend (bench/test hook; the dispatched
+/// entry points always pass [`backend()`]).
 pub fn matmul_with(
     be: Backend,
-    prec: Precision,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -134,37 +101,20 @@ pub fn matmul_with(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    match (be, prec) {
-        (Backend::Scalar, Precision::Strict) => matmul_scalar::<false>(a, b, out, m, k, n),
-        (Backend::Scalar, Precision::Fused) => matmul_scalar::<true>(a, b, out, m, k, n),
+    match be {
+        Backend::Scalar => matmul_scalar(a, b, out, m, k, n),
+        // SAFETY: the slice bounds are asserted above, and `Avx2` is only
+        // passed where `backend()` detected AVX2.
         #[cfg(target_arch = "x86_64")]
-        (Backend::Avx2, Precision::Strict) => unsafe { avx2::matmul::<false>(a, b, out, m, k, n) },
-        #[cfg(target_arch = "x86_64")]
-        (Backend::Avx2, Precision::Fused) => unsafe { avx2::matmul::<true>(a, b, out, m, k, n) },
+        Backend::Avx2 => unsafe { avx2::matmul(a, b, out, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
-        (Backend::Avx2, _) => unreachable!("Avx2 backend is never selected off x86_64"),
+        Backend::Avx2 => unreachable!("Avx2 backend is never selected off x86_64"),
     }
 }
 
 /// The cache-blocked, register-tiled ikj scalar core (the reference the
-/// SIMD variants are bit-equal to). `FUSED` switches each `acc + c·b`
-/// between separate rounding and one fused rounding.
-fn matmul_scalar<const FUSED: bool>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    #[inline(always)]
-    fn madd<const FUSED: bool>(acc: f32, c: f32, x: f32) -> f32 {
-        if FUSED {
-            c.mul_add(x, acc)
-        } else {
-            acc + c * x
-        }
-    }
+/// SIMD variants are bit-equal to).
+fn matmul_scalar(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for k0 in (0..k).step_by(K_PANEL) {
         let k1 = (k0 + K_PANEL).min(k);
         let mut i = 0;
@@ -183,10 +133,10 @@ fn matmul_scalar<const FUSED: bool>(
                 for ((((&bv, v0), v1), v2), v3) in
                     b_row.iter().zip(&mut *o0).zip(&mut *o1).zip(&mut *o2).zip(&mut *o3)
                 {
-                    *v0 = madd::<FUSED>(*v0, c0, bv);
-                    *v1 = madd::<FUSED>(*v1, c1, bv);
-                    *v2 = madd::<FUSED>(*v2, c2, bv);
-                    *v3 = madd::<FUSED>(*v3, c3, bv);
+                    *v0 += c0 * bv;
+                    *v1 += c1 * bv;
+                    *v2 += c2 * bv;
+                    *v3 += c3 * bv;
                 }
             }
             i += MR;
@@ -197,7 +147,7 @@ fn matmul_scalar<const FUSED: bool>(
             for (kk, &c) in a_row.iter().enumerate().take(k1).skip(k0) {
                 let b_row = &b[kk * n..kk * n + n];
                 for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o = madd::<FUSED>(*o, c, bv);
+                    *o += c * bv;
                 }
             }
             i += 1;
@@ -208,29 +158,16 @@ fn matmul_scalar<const FUSED: bool>(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! The AVX2 kernel bodies. Every function here carries
-    //! `#[target_feature(enable = "avx2,fma")]` so the whole loop body
+    //! `#[target_feature(enable = "avx2")]` so the whole loop body
     //! compiles with 256-bit vectors; callers go through the checked
     //! dispatch in the parent module.
     use super::{K_PANEL, MR};
     use std::arch::x86_64::*;
 
-    /// `acc + c·x`, one rounding (`FUSED`) or two (`!FUSED`).
+    /// `acc + c·x`, the multiply and the add rounded separately.
     #[inline(always)]
-    unsafe fn madd<const FUSED: bool>(acc: __m256, c: __m256, x: __m256) -> __m256 {
-        if FUSED {
-            _mm256_fmadd_ps(c, x, acc)
-        } else {
-            _mm256_add_ps(acc, _mm256_mul_ps(c, x))
-        }
-    }
-
-    #[inline(always)]
-    fn smadd<const FUSED: bool>(acc: f32, c: f32, x: f32) -> f32 {
-        if FUSED {
-            c.mul_add(x, acc)
-        } else {
-            acc + c * x
-        }
+    unsafe fn madd(acc: __m256, c: __m256, x: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_mul_ps(c, x))
     }
 
     /// Lane mask enabling the low `t` (1..=7) of 8 f32 lanes, for
@@ -245,17 +182,17 @@ mod avx2 {
     /// Register-accumulated blocked matmul: output tiles of `MR`
     /// rows × 16 columns stay in ymm registers across each k-panel
     /// (loaded once, stored once), instead of a load+store per `kk`.
-    /// The 16-wide strip runs 8 FMAs per 6 loads, past the load-port
-    /// bound of an 8-wide tile; leftover columns take one 8-wide strip
-    /// and then a masked strip, so no column runs scalar. Per output
-    /// element this is still the same ascending-`k` chain of
+    /// The 16-wide strip runs 8 multiply-adds per 6 loads, past the
+    /// load-port bound of an 8-wide tile; leftover columns take one
+    /// 8-wide strip and then a masked strip, so no column runs scalar.
+    /// Per output element this is still the same ascending-`k` chain of
     /// individually rounded ops as the scalar core.
     ///
     /// # Safety
-    /// Caller must verify AVX2(+FMA) support and slice bounds
+    /// Caller must verify AVX2 support and slice bounds
     /// (`a ≥ m·k`, `b ≥ k·n`, `out ≥ m·n`).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn matmul<const FUSED: bool>(
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
@@ -272,7 +209,8 @@ mod avx2 {
             let mut i = 0;
             while i + MR <= m {
                 // Full 16-wide column strips: 4 rows × 2 vectors of
-                // accumulators (8 FMAs per 4 broadcasts + 2 `b` loads).
+                // accumulators (8 multiply-adds per 4 broadcasts + 2 `b`
+                // loads).
                 let mut j = 0;
                 while j + 16 <= n {
                     let mut acc00 = _mm256_loadu_ps(op.add(i * n + j));
@@ -287,17 +225,17 @@ mod avx2 {
                         let bv0 = _mm256_loadu_ps(bp.add(kk * n + j));
                         let bv1 = _mm256_loadu_ps(bp.add(kk * n + j + 8));
                         let c0 = _mm256_set1_ps(*ap.add(i * k + kk));
-                        acc00 = madd::<FUSED>(acc00, c0, bv0);
-                        acc01 = madd::<FUSED>(acc01, c0, bv1);
+                        acc00 = madd(acc00, c0, bv0);
+                        acc01 = madd(acc01, c0, bv1);
                         let c1 = _mm256_set1_ps(*ap.add((i + 1) * k + kk));
-                        acc10 = madd::<FUSED>(acc10, c1, bv0);
-                        acc11 = madd::<FUSED>(acc11, c1, bv1);
+                        acc10 = madd(acc10, c1, bv0);
+                        acc11 = madd(acc11, c1, bv1);
                         let c2 = _mm256_set1_ps(*ap.add((i + 2) * k + kk));
-                        acc20 = madd::<FUSED>(acc20, c2, bv0);
-                        acc21 = madd::<FUSED>(acc21, c2, bv1);
+                        acc20 = madd(acc20, c2, bv0);
+                        acc21 = madd(acc21, c2, bv1);
                         let c3 = _mm256_set1_ps(*ap.add((i + 3) * k + kk));
-                        acc30 = madd::<FUSED>(acc30, c3, bv0);
-                        acc31 = madd::<FUSED>(acc31, c3, bv1);
+                        acc30 = madd(acc30, c3, bv0);
+                        acc31 = madd(acc31, c3, bv1);
                     }
                     _mm256_storeu_ps(op.add(i * n + j), acc00);
                     _mm256_storeu_ps(op.add(i * n + j + 8), acc01);
@@ -321,10 +259,10 @@ mod avx2 {
                         let c1 = _mm256_set1_ps(*ap.add((i + 1) * k + kk));
                         let c2 = _mm256_set1_ps(*ap.add((i + 2) * k + kk));
                         let c3 = _mm256_set1_ps(*ap.add((i + 3) * k + kk));
-                        acc0 = madd::<FUSED>(acc0, c0, bv);
-                        acc1 = madd::<FUSED>(acc1, c1, bv);
-                        acc2 = madd::<FUSED>(acc2, c2, bv);
-                        acc3 = madd::<FUSED>(acc3, c3, bv);
+                        acc0 = madd(acc0, c0, bv);
+                        acc1 = madd(acc1, c1, bv);
+                        acc2 = madd(acc2, c2, bv);
+                        acc3 = madd(acc3, c3, bv);
                     }
                     _mm256_storeu_ps(op.add(i * n + j), acc0);
                     _mm256_storeu_ps(op.add((i + 1) * n + j), acc1);
@@ -347,10 +285,10 @@ mod avx2 {
                         let c1 = _mm256_set1_ps(*ap.add((i + 1) * k + kk));
                         let c2 = _mm256_set1_ps(*ap.add((i + 2) * k + kk));
                         let c3 = _mm256_set1_ps(*ap.add((i + 3) * k + kk));
-                        acc0 = madd::<FUSED>(acc0, c0, bv);
-                        acc1 = madd::<FUSED>(acc1, c1, bv);
-                        acc2 = madd::<FUSED>(acc2, c2, bv);
-                        acc3 = madd::<FUSED>(acc3, c3, bv);
+                        acc0 = madd(acc0, c0, bv);
+                        acc1 = madd(acc1, c1, bv);
+                        acc2 = madd(acc2, c2, bv);
+                        acc3 = madd(acc3, c3, bv);
                     }
                     _mm256_maskstore_ps(op.add(i * n + j), mask, acc0);
                     _mm256_maskstore_ps(op.add((i + 1) * n + j), mask, acc1);
@@ -367,7 +305,7 @@ mod avx2 {
                     for kk in k0..k1 {
                         let bv = _mm256_loadu_ps(bp.add(kk * n + j));
                         let c = _mm256_set1_ps(*ap.add(i * k + kk));
-                        acc = madd::<FUSED>(acc, c, bv);
+                        acc = madd(acc, c, bv);
                     }
                     _mm256_storeu_ps(op.add(i * n + j), acc);
                     j += 8;
@@ -375,7 +313,7 @@ mod avx2 {
                 while j < n {
                     let mut s = *op.add(i * n + j);
                     for kk in k0..k1 {
-                        s = smadd::<FUSED>(s, *ap.add(i * k + kk), *bp.add(kk * n + j));
+                        s += *ap.add(i * k + kk) * *bp.add(kk * n + j);
                     }
                     *op.add(i * n + j) = s;
                     j += 1;
@@ -390,9 +328,9 @@ mod avx2 {
     /// output element matches the scalar streaming core bit for bit.
     ///
     /// # Safety
-    /// Caller must verify AVX2(+FMA) support and slice bounds.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn matmul_tn<const FUSED: bool>(
+    /// Caller must verify AVX2 support and slice bounds.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul_tn(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
@@ -418,10 +356,10 @@ mod avx2 {
                     let c1 = _mm256_set1_ps(*ap.add(kk * m + i + 1));
                     let c2 = _mm256_set1_ps(*ap.add(kk * m + i + 2));
                     let c3 = _mm256_set1_ps(*ap.add(kk * m + i + 3));
-                    acc0 = madd::<FUSED>(acc0, c0, bv);
-                    acc1 = madd::<FUSED>(acc1, c1, bv);
-                    acc2 = madd::<FUSED>(acc2, c2, bv);
-                    acc3 = madd::<FUSED>(acc3, c3, bv);
+                    acc0 = madd(acc0, c0, bv);
+                    acc1 = madd(acc1, c1, bv);
+                    acc2 = madd(acc2, c2, bv);
+                    acc3 = madd(acc3, c3, bv);
                 }
                 _mm256_storeu_ps(op.add(i * n + j), acc0);
                 _mm256_storeu_ps(op.add((i + 1) * n + j), acc1);
@@ -436,10 +374,10 @@ mod avx2 {
                 let mut s3 = *op.add((i + 3) * n + j);
                 for kk in 0..k {
                     let bv = *bp.add(kk * n + j);
-                    s0 = smadd::<FUSED>(s0, *ap.add(kk * m + i), bv);
-                    s1 = smadd::<FUSED>(s1, *ap.add(kk * m + i + 1), bv);
-                    s2 = smadd::<FUSED>(s2, *ap.add(kk * m + i + 2), bv);
-                    s3 = smadd::<FUSED>(s3, *ap.add(kk * m + i + 3), bv);
+                    s0 += *ap.add(kk * m + i) * bv;
+                    s1 += *ap.add(kk * m + i + 1) * bv;
+                    s2 += *ap.add(kk * m + i + 2) * bv;
+                    s3 += *ap.add(kk * m + i + 3) * bv;
                 }
                 *op.add(i * n + j) = s0;
                 *op.add((i + 1) * n + j) = s1;
@@ -456,7 +394,7 @@ mod avx2 {
                 for kk in 0..k {
                     let bv = _mm256_loadu_ps(bp.add(kk * n + j));
                     let c = _mm256_set1_ps(*ap.add(kk * m + i));
-                    acc = madd::<FUSED>(acc, c, bv);
+                    acc = madd(acc, c, bv);
                 }
                 _mm256_storeu_ps(op.add(i * n + j), acc);
                 j += 8;
@@ -464,7 +402,7 @@ mod avx2 {
             while j < n {
                 let mut s = *op.add(i * n + j);
                 for kk in 0..k {
-                    s = smadd::<FUSED>(s, *ap.add(kk * m + i), *bp.add(kk * n + j));
+                    s += *ap.add(kk * m + i) * *bp.add(kk * n + j);
                 }
                 *op.add(i * n + j) = s;
                 j += 1;
@@ -477,7 +415,7 @@ mod avx2 {
     ///
     /// # Safety
     /// Caller must verify AVX2 support; `y.len() == x.len()`.
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
         let len = y.len();
         let yp = y.as_mut_ptr();
@@ -501,7 +439,7 @@ mod avx2 {
     ///
     /// # Safety
     /// Caller must verify AVX2 support.
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn leaky_relu(xs: &mut [f32], slope: f32) {
         let len = xs.len();
         let p = xs.as_mut_ptr();
@@ -528,7 +466,7 @@ mod avx2 {
     ///
     /// # Safety
     /// Caller must verify AVX2 support; `p.len() == q.len()`.
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn rotate_rows_f64(p: &mut [f64], q: &mut [f64], c: f64, s: f64) {
         let len = p.len();
         let pp = p.as_mut_ptr();
@@ -552,34 +490,6 @@ mod avx2 {
             i += 1;
         }
     }
-
-    /// Dequantizing accumulate `y[i] += a·q[i] + b` over int8 codes
-    /// (`a = w·scale`, `b = w·zero_point` folded by the caller). Scalar
-    /// op order per element: widen, `a·qf`, `+ b`, `+ y`.
-    ///
-    /// # Safety
-    /// Caller must verify AVX2 support; `y.len() == q.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy_dequant_i8(y: &mut [f32], a: f32, b: f32, q: &[i8]) {
-        let len = y.len();
-        let yp = y.as_mut_ptr();
-        let qp = q.as_ptr();
-        let av = _mm256_set1_ps(a);
-        let bv = _mm256_set1_ps(b);
-        let mut i = 0;
-        while i + 8 <= len {
-            let codes = _mm_loadl_epi64(qp.add(i) as *const __m128i);
-            let wide = _mm256_cvtepi8_epi32(codes);
-            let qf = _mm256_cvtepi32_ps(wide);
-            let t = _mm256_add_ps(_mm256_mul_ps(av, qf), bv);
-            _mm256_storeu_ps(yp.add(i), _mm256_add_ps(_mm256_loadu_ps(yp.add(i)), t));
-            i += 8;
-        }
-        while i < len {
-            *yp.add(i) += a * (*qp.add(i) as f32) + b;
-            i += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -590,14 +500,12 @@ mod avx2 {
 /// (`a: k×m` as stored, `b: k×n`, `out: m×n`; caller zeroes `out`).
 #[inline]
 pub fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    matmul_tn_with(backend(), Precision::Strict, a, b, out, k, m, n);
+    matmul_tn_with(backend(), a, b, out, k, m, n);
 }
 
-/// [`matmul_tn`] with an explicit backend and precision.
-#[allow(clippy::too_many_arguments)]
+/// [`matmul_tn`] with an explicit backend.
 pub fn matmul_tn_with(
     be: Backend,
-    prec: Precision,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -609,39 +517,21 @@ pub fn matmul_tn_with(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    match (be, prec) {
-        (Backend::Scalar, Precision::Strict) => matmul_tn_scalar::<false>(a, b, out, k, m, n),
-        (Backend::Scalar, Precision::Fused) => matmul_tn_scalar::<true>(a, b, out, k, m, n),
+    match be {
+        Backend::Scalar => matmul_tn_scalar(a, b, out, k, m, n),
+        // SAFETY: the slice bounds are asserted above, and `Avx2` is only
+        // passed where `backend()` detected AVX2.
         #[cfg(target_arch = "x86_64")]
-        (Backend::Avx2, Precision::Strict) => unsafe {
-            avx2::matmul_tn::<false>(a, b, out, k, m, n)
-        },
-        #[cfg(target_arch = "x86_64")]
-        (Backend::Avx2, Precision::Fused) => unsafe { avx2::matmul_tn::<true>(a, b, out, k, m, n) },
+        Backend::Avx2 => unsafe { avx2::matmul_tn(a, b, out, k, m, n) },
         #[cfg(not(target_arch = "x86_64"))]
-        (Backend::Avx2, _) => unreachable!("Avx2 backend is never selected off x86_64"),
+        Backend::Avx2 => unreachable!("Avx2 backend is never selected off x86_64"),
     }
 }
 
 /// Streaming scalar `out += aᵀ·b` core: both inputs row-contiguous, four
 /// output rows updated per `b` row read (the reference the AVX2 variant
 /// is bit-equal to).
-fn matmul_tn_scalar<const FUSED: bool>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    #[inline(always)]
-    fn madd<const FUSED: bool>(acc: f32, c: f32, x: f32) -> f32 {
-        if FUSED {
-            c.mul_add(x, acc)
-        } else {
-            acc + c * x
-        }
-    }
+fn matmul_tn_scalar(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
     for kk in 0..k {
         let a_row = &a[kk * m..(kk + 1) * m];
         let b_row = &b[kk * n..(kk + 1) * n];
@@ -655,10 +545,10 @@ fn matmul_tn_scalar<const FUSED: bool>(
             for ((((&bv, v0), v1), v2), v3) in
                 b_row.iter().zip(&mut *o0).zip(&mut *o1).zip(&mut *o2).zip(&mut *o3)
             {
-                *v0 = madd::<FUSED>(*v0, c0, bv);
-                *v1 = madd::<FUSED>(*v1, c1, bv);
-                *v2 = madd::<FUSED>(*v2, c2, bv);
-                *v3 = madd::<FUSED>(*v3, c3, bv);
+                *v0 += c0 * bv;
+                *v1 += c1 * bv;
+                *v2 += c2 * bv;
+                *v3 += c3 * bv;
             }
             i += MR;
         }
@@ -666,7 +556,7 @@ fn matmul_tn_scalar<const FUSED: bool>(
             let c = a_row[i];
             let out_row = &mut out[i * n..(i + 1) * n];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o = madd::<FUSED>(*o, c, bv);
+                *o += c * bv;
             }
             i += 1;
         }
@@ -750,30 +640,6 @@ pub fn rotate_rows_f64_with(be: Backend, p: &mut [f64], q: &mut [f64], c: f64, s
     }
 }
 
-/// Dispatched dequantizing accumulate `y[i] += a·q[i] + b` over int8
-/// codes — the quantized inference cache's aggregation step, with
-/// `a = w·scale` and `b = w·zero_point` folded by the caller.
-#[inline]
-pub fn axpy_dequant_i8(y: &mut [f32], a: f32, b: f32, q: &[i8]) {
-    axpy_dequant_i8_with(backend(), y, a, b, q);
-}
-
-/// [`axpy_dequant_i8`] with an explicit backend.
-pub fn axpy_dequant_i8_with(be: Backend, y: &mut [f32], a: f32, b: f32, q: &[i8]) {
-    assert_eq!(y.len(), q.len(), "axpy_dequant_i8 length mismatch");
-    match be {
-        Backend::Scalar => {
-            for (o, &code) in y.iter_mut().zip(q) {
-                *o += a * (code as f32) + b;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { avx2::axpy_dequant_i8(y, a, b, q) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => unreachable!("Avx2 backend is never selected off x86_64"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,14 +675,12 @@ mod tests {
         for &(m, k, n) in &[(1usize, 7usize, 1usize), (4, 8, 16), (5, 13, 9), (7, 300, 70)] {
             let a = fill(m as u64 * 31 + k as u64, m * k);
             let b = fill(n as u64 * 17 + 3, k * n);
-            for prec in [Precision::Strict, Precision::Fused] {
-                let mut reference = vec![0.0f32; m * n];
-                matmul_with(Backend::Scalar, prec, &a, &b, &mut reference, m, k, n);
-                for be in both_backends() {
-                    let mut out = vec![0.0f32; m * n];
-                    matmul_with(be, prec, &a, &b, &mut out, m, k, n);
-                    assert_eq!(out, reference, "{be:?}/{prec:?} {m}x{k}x{n}");
-                }
+            let mut reference = vec![0.0f32; m * n];
+            matmul_with(Backend::Scalar, &a, &b, &mut reference, m, k, n);
+            for be in both_backends() {
+                let mut out = vec![0.0f32; m * n];
+                matmul_with(be, &a, &b, &mut out, m, k, n);
+                assert_eq!(out, reference, "{be:?} {m}x{k}x{n}");
             }
         }
     }
@@ -826,14 +690,12 @@ mod tests {
         for &(k, m, n) in &[(7usize, 1usize, 9usize), (8, 4, 8), (13, 6, 11)] {
             let a = fill(k as u64 + 5, k * m);
             let b = fill(n as u64 + 7, k * n);
-            for prec in [Precision::Strict, Precision::Fused] {
-                let mut reference = vec![0.0f32; m * n];
-                matmul_tn_with(Backend::Scalar, prec, &a, &b, &mut reference, k, m, n);
-                for be in both_backends() {
-                    let mut out = vec![0.0f32; m * n];
-                    matmul_tn_with(be, prec, &a, &b, &mut out, k, m, n);
-                    assert_eq!(out, reference, "{be:?}/{prec:?} {k}x{m}x{n}");
-                }
+            let mut reference = vec![0.0f32; m * n];
+            matmul_tn_with(Backend::Scalar, &a, &b, &mut reference, k, m, n);
+            for be in both_backends() {
+                let mut out = vec![0.0f32; m * n];
+                matmul_tn_with(be, &a, &b, &mut out, k, m, n);
+                assert_eq!(out, reference, "{be:?} {k}x{m}x{n}");
             }
         }
     }
@@ -842,10 +704,8 @@ mod tests {
     fn helper_backends_bitwise_equal() {
         for len in [0usize, 1, 7, 8, 9, 31, 64] {
             let x = fill(len as u64 + 11, len);
-            let codes: Vec<i8> = (0..len).map(|i| ((i * 37) % 255) as i8).collect();
             let mut ys: Vec<Vec<f32>> = Vec::new();
             let mut acts: Vec<Vec<f32>> = Vec::new();
-            let mut deqs: Vec<Vec<f32>> = Vec::new();
             let mut rots: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
             for be in both_backends() {
                 let mut y = fill(len as u64 + 23, len);
@@ -854,9 +714,6 @@ mod tests {
                 let mut act = fill(len as u64 + 29, len);
                 leaky_relu_with(be, &mut act, 0.01);
                 acts.push(act);
-                let mut d = fill(len as u64 + 31, len);
-                axpy_dequant_i8_with(be, &mut d, 0.011, -0.4, &codes);
-                deqs.push(d);
                 let mut p: Vec<f64> =
                     fill(len as u64 + 41, len).iter().map(|&v| v as f64).collect();
                 let mut q: Vec<f64> =
@@ -868,9 +725,6 @@ mod tests {
                 assert_eq!(w[0], w[1]);
             }
             for w in acts.windows(2) {
-                assert_eq!(w[0], w[1]);
-            }
-            for w in deqs.windows(2) {
                 assert_eq!(w[0], w[1]);
             }
             for w in rots.windows(2) {

@@ -30,7 +30,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use arena::{ArenaStats, TensorArena};
-pub use kernels::{Backend, Precision};
+pub use kernels::Backend;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use tape::{Activation, GradStore, Graph, ParamId, ParamStore, SparseGrad, Touched, Var};
 pub use tensor::Tensor;

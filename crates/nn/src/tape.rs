@@ -34,7 +34,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::TensorArena;
-use crate::kernels::{self, Precision};
+use crate::kernels;
 use crate::tensor::Tensor;
 
 /// Handle to a learnable parameter inside a [`ParamStore`].
@@ -819,7 +819,6 @@ struct Node {
 pub struct Graph {
     nodes: Vec<Node>,
     arena: Option<Rc<TensorArena>>,
-    precision: Precision,
 }
 
 impl Default for Graph {
@@ -837,32 +836,17 @@ impl Drop for Graph {
 impl Graph {
     /// Creates an empty tape (plain heap allocation, no arena).
     pub fn new() -> Self {
-        Graph { nodes: Vec::new(), arena: None, precision: Precision::Strict }
+        Graph { nodes: Vec::new(), arena: None }
     }
 
     /// Creates an empty tape whose node buffers come from `arena`.
     pub fn with_arena(arena: Rc<TensorArena>) -> Self {
-        Graph { nodes: Vec::new(), arena: Some(arena), precision: Precision::Strict }
+        Graph { nodes: Vec::new(), arena: Some(arena) }
     }
 
     /// The arena backing this tape, if any.
     pub fn arena(&self) -> Option<&Rc<TensorArena>> {
         self.arena.as_ref()
-    }
-
-    /// Sets the multiply-accumulate rounding policy for this tape's
-    /// matmul forward *and* backward kernels. `Strict` (the default)
-    /// keeps the historical separately rounded semantics; `Fused` is the
-    /// opt-in fused-FMA training path — still deterministic per backend,
-    /// but not bit-comparable with `Strict` results. Survives
-    /// [`Graph::reset`], so a thread-local step graph keeps its policy.
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-    }
-
-    /// The tape's current multiply-accumulate rounding policy.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Clears the tape for reuse, recycling every node value and gradient
@@ -953,7 +937,7 @@ impl Graph {
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let mut value = self.alloc(self.value(a).rows(), self.value(b).cols());
-        self.value(a).matmul_into_prec(self.value(b), &mut value, self.precision);
+        self.value(a).matmul_into(self.value(b), &mut value);
         self.push(Op::MatMul(a, b), value)
     }
 
@@ -1276,11 +1260,10 @@ impl Graph {
                     store.scatter_rows(param, &indices, &grad);
                 }
                 Op::MatMul(a, b) => {
-                    let prec = self.precision;
                     let mut da = self.alloc(grad.rows(), self.value(b).rows());
-                    grad.matmul_nt_into_prec(self.value(b), &mut da, prec);
+                    grad.matmul_nt_into(self.value(b), &mut da);
                     let mut db = self.alloc(self.value(a).cols(), grad.cols());
-                    self.value(a).matmul_tn_into_prec(&grad, &mut db, prec);
+                    self.value(a).matmul_tn_into(&grad, &mut db);
                     self.accumulate(a, da);
                     self.accumulate(b, db);
                 }

@@ -6,7 +6,7 @@ use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{self, Precision};
+use crate::kernels;
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -161,12 +161,6 @@ impl Tensor {
     /// (arena-allocated on the tape path). `out` must be `m × n`; its
     /// contents are overwritten.
     pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        self.matmul_into_prec(rhs, out, Precision::Strict);
-    }
-
-    /// [`Tensor::matmul_into`] with an explicit [`Precision`] (the
-    /// opt-in fused-FMA training path; `Strict` everywhere else).
-    pub fn matmul_into_prec(&self, rhs: &Tensor, out: &mut Tensor, prec: Precision) {
         assert_eq!(
             self.cols,
             rhs.rows,
@@ -176,16 +170,7 @@ impl Tensor {
         );
         assert_eq!(out.shape(), (self.rows, rhs.cols), "matmul output shape mismatch");
         out.fill_zero();
-        kernels::matmul_with(
-            kernels::backend(),
-            prec,
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.cols,
-        );
+        kernels::matmul(&self.data, &rhs.data, &mut out.data, self.rows, self.cols, rhs.cols);
     }
 
     /// Matrix product `selfᵀ · rhs` without materializing the transpose.
@@ -204,25 +189,11 @@ impl Tensor {
     /// [`Tensor::matmul_tn`] writing into a caller-provided `m × n`
     /// output tensor; its contents are overwritten.
     pub fn matmul_tn_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        self.matmul_tn_into_prec(rhs, out, Precision::Strict);
-    }
-
-    /// [`Tensor::matmul_tn_into`] with an explicit [`Precision`].
-    pub fn matmul_tn_into_prec(&self, rhs: &Tensor, out: &mut Tensor, prec: Precision) {
         assert_eq!(self.rows, rhs.rows, "matmul_tn shape mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         assert_eq!(out.shape(), (m, n), "matmul_tn output shape mismatch");
         out.fill_zero();
-        kernels::matmul_tn_with(
-            kernels::backend(),
-            prec,
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            k,
-            m,
-            n,
-        );
+        kernels::matmul_tn(&self.data, &rhs.data, &mut out.data, k, m, n);
     }
 
     /// Matrix product `self · rhsᵀ` without materializing the transpose.
@@ -244,11 +215,6 @@ impl Tensor {
     /// [`Tensor::matmul_nt`] writing into a caller-provided `m × n`
     /// output tensor; its contents are overwritten.
     pub fn matmul_nt_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        self.matmul_nt_into_prec(rhs, out, Precision::Strict);
-    }
-
-    /// [`Tensor::matmul_nt_into`] with an explicit [`Precision`].
-    pub fn matmul_nt_into_prec(&self, rhs: &Tensor, out: &mut Tensor, prec: Precision) {
         assert_eq!(self.cols, rhs.cols, "matmul_nt shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         assert_eq!(out.shape(), (m, n), "matmul_nt output shape mismatch");
@@ -267,16 +233,7 @@ impl Tensor {
                     packed[kk * n + j] = v;
                 }
             }
-            kernels::matmul_with(
-                kernels::backend(),
-                prec,
-                &self.data,
-                packed,
-                &mut out.data,
-                m,
-                k,
-                n,
-            );
+            kernels::matmul(&self.data, packed, &mut out.data, m, k, n);
         });
     }
 

@@ -1,24 +1,21 @@
 //! Property-based tests for the runtime-dispatched SIMD kernels.
 //!
 //! The kernels' determinism contract says the AVX2 variants are
-//! **bit-identical** to the scalar reference for both precision modes,
-//! across every ragged shape the register tiling has to tail-handle:
-//! single rows (1×K), single columns (K×1), odd K, and widths that are
-//! not a multiple of the 8-lane block. These proptests pin that
-//! contract, plus the documented ≤-one-ULP-per-step bound between
-//! `Strict` and `Fused`.
+//! **bit-identical** to the scalar reference across every ragged shape
+//! the register tiling has to tail-handle: single rows (1×K), single
+//! columns (K×1), odd K, and widths that are not a multiple of the
+//! 8-lane block. These proptests pin that contract.
 //!
-//! On hardware without AVX2+FMA (or with `GEM_FORCE_SCALAR=1`) the
+//! On hardware without AVX2 (or with `GEM_FORCE_SCALAR=1`) the
 //! backend list collapses to `[Scalar]` and the parity assertions are
 //! trivially scalar-vs-scalar; CI runs the suite in both modes.
 
 use proptest::prelude::*;
 
 use gem_nn::kernels::{
-    axpy_dequant_i8_with, axpy_with, backend, leaky_relu_with, matmul_tn_with, matmul_with,
-    rotate_rows_f64_with,
+    axpy_with, backend, leaky_relu_with, matmul_tn_with, matmul_with, rotate_rows_f64_with,
 };
-use gem_nn::{Backend, Precision};
+use gem_nn::Backend;
 
 fn backends() -> Vec<Backend> {
     let mut v = vec![Backend::Scalar];
@@ -42,15 +39,6 @@ fn shape_strategy() -> impl Strategy<Value = (usize, usize, usize)> {
     })
 }
 
-/// `Strict`-vs-`Fused` tolerance for one output element: each of the
-/// `k` accumulation steps may differ by at most one ULP of the running
-/// magnitude, bounded by the f64 sum of absolute products.
-fn fused_tolerance(a_row: impl Iterator<Item = f32>, b_col: impl Iterator<Item = f32>) -> f32 {
-    let abs_sum: f64 =
-        a_row.zip(b_col).map(|(x, y)| (x as f64 * y as f64).abs()).sum::<f64>().max(1.0);
-    2.0 * f32::EPSILON * abs_sum as f32
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -61,14 +49,12 @@ proptest! {
     ) {
         let a = seeded(seed, m * k);
         let b = seeded(seed ^ 0xABCD, k * n);
-        for prec in [Precision::Strict, Precision::Fused] {
-            let mut reference = vec![0.0f32; m * n];
-            matmul_with(Backend::Scalar, prec, &a, &b, &mut reference, m, k, n);
-            for be in backends() {
-                let mut out = vec![0.0f32; m * n];
-                matmul_with(be, prec, &a, &b, &mut out, m, k, n);
-                prop_assert_eq!(&out, &reference, "{:?}/{:?} {}x{}x{}", be, prec, m, k, n);
-            }
+        let mut reference = vec![0.0f32; m * n];
+        matmul_with(Backend::Scalar, &a, &b, &mut reference, m, k, n);
+        for be in backends() {
+            let mut out = vec![0.0f32; m * n];
+            matmul_with(be, &a, &b, &mut out, m, k, n);
+            prop_assert_eq!(&out, &reference, "{:?} {}x{}x{}", be, m, k, n);
         }
     }
 
@@ -80,40 +66,12 @@ proptest! {
         // a is k×m as stored (transposed product), same tail coverage.
         let a = seeded(seed, k * m);
         let b = seeded(seed ^ 0x1234, k * n);
-        for prec in [Precision::Strict, Precision::Fused] {
-            let mut reference = vec![0.0f32; m * n];
-            matmul_tn_with(Backend::Scalar, prec, &a, &b, &mut reference, k, m, n);
-            for be in backends() {
-                let mut out = vec![0.0f32; m * n];
-                matmul_tn_with(be, prec, &a, &b, &mut out, k, m, n);
-                prop_assert_eq!(&out, &reference, "{:?}/{:?} {}x{}x{}", be, prec, k, m, n);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_stays_within_ulp_bound_of_strict(
-        (m, k, n) in shape_strategy(),
-        seed in 0u64..1_000,
-    ) {
-        let a = seeded(seed, m * k);
-        let b = seeded(seed ^ 0x77, k * n);
-        let mut strict = vec![0.0f32; m * n];
-        let mut fused = vec![0.0f32; m * n];
-        matmul_with(Backend::Scalar, Precision::Strict, &a, &b, &mut strict, m, k, n);
-        matmul_with(Backend::Scalar, Precision::Fused, &a, &b, &mut fused, m, k, n);
-        for i in 0..m {
-            for j in 0..n {
-                let tol = fused_tolerance(
-                    a[i * k..(i + 1) * k].iter().copied(),
-                    (0..k).map(|kk| b[kk * n + j]),
-                );
-                let (s, f) = (strict[i * n + j], fused[i * n + j]);
-                prop_assert!(
-                    (s - f).abs() <= tol,
-                    "[{},{}] strict {} vs fused {} exceeds ulp bound {}", i, j, s, f, tol
-                );
-            }
+        let mut reference = vec![0.0f32; m * n];
+        matmul_tn_with(Backend::Scalar, &a, &b, &mut reference, k, m, n);
+        for be in backends() {
+            let mut out = vec![0.0f32; m * n];
+            matmul_tn_with(be, &a, &b, &mut out, k, m, n);
+            prop_assert_eq!(&out, &reference, "{:?} {}x{}x{}", be, k, m, n);
         }
     }
 
@@ -125,10 +83,8 @@ proptest! {
     ) {
         let len = len.min(xs.len());
         let x = &xs[..len];
-        let codes: Vec<i8> = x.iter().map(|v| (v * 15.0) as i8).collect();
         let mut axpys = Vec::new();
         let mut acts = Vec::new();
-        let mut deqs = Vec::new();
         let mut rots = Vec::new();
         for be in backends() {
             let mut y: Vec<f32> = x.iter().map(|v| v * 0.5 - 1.0).collect();
@@ -137,9 +93,6 @@ proptest! {
             let mut act = x.to_vec();
             leaky_relu_with(be, &mut act, 0.01);
             acts.push(act);
-            let mut d: Vec<f32> = x.iter().map(|v| v * 0.25).collect();
-            axpy_dequant_i8_with(be, &mut d, alpha * 0.01, -0.3, &codes);
-            deqs.push(d);
             let mut p: Vec<f64> = x.iter().map(|&v| v as f64).collect();
             let mut q: Vec<f64> = x.iter().map(|&v| v as f64 * 1.5 + 0.1).collect();
             rotate_rows_f64_with(be, &mut p, &mut q, 0.8, 0.6);
@@ -150,9 +103,6 @@ proptest! {
         }
         for w in acts.windows(2) {
             prop_assert_eq!(&w[0], &w[1], "leaky_relu len {}", len);
-        }
-        for w in deqs.windows(2) {
-            prop_assert_eq!(&w[0], &w[1], "axpy_dequant_i8 len {}", len);
         }
         for w in rots.windows(2) {
             prop_assert_eq!(&w[0], &w[1], "rotate_rows_f64 len {}", len);
@@ -179,18 +129,15 @@ fn seeded(seed: u64, len: usize) -> Vec<f32> {
 #[test]
 fn zero_sized_dims_are_noops() {
     for be in backends() {
-        for prec in [Precision::Strict, Precision::Fused] {
-            let mut out = [1.0f32; 4];
-            matmul_with(be, prec, &[], &[], &mut out, 0, 3, 0);
-            matmul_with(be, prec, &[1.0; 4], &[], &mut out, 2, 2, 0);
-            matmul_with(be, prec, &[], &[1.0; 4], &mut out, 0, 2, 2);
-            matmul_with(be, prec, &[1.0; 2], &[1.0; 2], &mut out, 2, 0, 2);
-            matmul_tn_with(be, prec, &[], &[], &mut out, 0, 2, 2);
-            assert_eq!(out, [1.0; 4], "{be:?}/{prec:?} zero-dim matmul must not touch out");
-        }
+        let mut out = [1.0f32; 4];
+        matmul_with(be, &[], &[], &mut out, 0, 3, 0);
+        matmul_with(be, &[1.0; 4], &[], &mut out, 2, 2, 0);
+        matmul_with(be, &[], &[1.0; 4], &mut out, 0, 2, 2);
+        matmul_with(be, &[1.0; 2], &[1.0; 2], &mut out, 2, 0, 2);
+        matmul_tn_with(be, &[], &[], &mut out, 0, 2, 2);
+        assert_eq!(out, [1.0; 4], "{be:?} zero-dim matmul must not touch out");
         axpy_with(be, &mut [], 2.0, &[]);
         leaky_relu_with(be, &mut [], 0.01);
-        axpy_dequant_i8_with(be, &mut [], 1.0, 0.0, &[]);
         rotate_rows_f64_with(be, &mut [], &mut [], 0.8, 0.6);
     }
 }

@@ -318,10 +318,7 @@ impl Registry {
                         // landed here: the trace id to look up in the
                         // span dump.
                         if h.exemplars[i] != 0 {
-                            parts.push_str(&format!(
-                                ",\"exemplar\":\"{:016x}\"",
-                                h.exemplars[i]
-                            ));
+                            parts.push_str(&format!(",\"exemplar\":\"{:016x}\"", h.exemplars[i]));
                         }
                         parts.push('}');
                     }

@@ -213,7 +213,8 @@ mod tests {
 
         let stop = Arc::new(AtomicBool::new(false));
         let recorder = {
-            let (registry, ring, stop) = (Arc::clone(&registry), Arc::clone(&ring), Arc::clone(&stop));
+            let (registry, ring, stop) =
+                (Arc::clone(&registry), Arc::clone(&ring), Arc::clone(&stop));
             std::thread::spawn(move || {
                 let h = registry.histogram("gem_scrape_race_seconds", &[]);
                 let c = registry.counter("gem_scrape_race_total", &[]);

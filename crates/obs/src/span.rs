@@ -51,10 +51,8 @@ impl SpanIdGen {
     /// A generator seeded from the wall clock and its own address, so
     /// independent processes mint disjoint streams.
     pub fn new() -> SpanIdGen {
-        let nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
+        let nanos =
+            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_nanos() as u64).unwrap_or(0);
         let gen = SpanIdGen { state: AtomicU64::new(0) };
         let addr = &gen.state as *const _ as u64;
         gen.state.store(splitmix64(nanos ^ addr.rotate_left(32)), Ordering::Relaxed);

@@ -773,13 +773,19 @@ impl ShardWorker {
                     }
                     if retained {
                         trace = meta.ctx.trace_id;
-                        self.emit_span(plan.premises_id, *epoch, meta, e2e_ns, SpanStamps {
-                            reached: reached.expect("tracing instants captured"),
-                            hydrated: hydrated.expect("tracing instants captured"),
-                            commit_done: commit_done.expect("tracing instants captured"),
-                            infer_done: infer_done.expect("tracing instants captured"),
-                            decided: now,
-                        });
+                        self.emit_span(
+                            plan.premises_id,
+                            *epoch,
+                            meta,
+                            e2e_ns,
+                            SpanStamps {
+                                reached: reached.expect("tracing instants captured"),
+                                hydrated: hydrated.expect("tracing instants captured"),
+                                commit_done: commit_done.expect("tracing instants captured"),
+                                infer_done: infer_done.expect("tracing instants captured"),
+                                decided: now,
+                            },
+                        );
                     }
                     rec_idx += 1;
                 }

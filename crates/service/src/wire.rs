@@ -602,14 +602,14 @@ mod tests {
             payload.extend_from_slice(&9u64.to_le_bytes());
             payload.extend_from_slice(&1.5f64.to_le_bytes());
             payload.extend_from_slice(&0u16.to_le_bytes());
-            payload.extend(std::iter::repeat(0xEE).take(extra));
+            payload.extend(std::iter::repeat_n(0xEE, extra));
             let mut wire = Vec::new();
             wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             wire.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
             wire.extend_from_slice(&payload);
             let mut buf = Vec::new();
-            let err = read_frame(&mut std::io::Cursor::new(wire), MAX_FRAME_LEN, &mut buf)
-                .unwrap_err();
+            let err =
+                read_frame(&mut std::io::Cursor::new(wire), MAX_FRAME_LEN, &mut buf).unwrap_err();
             assert!(
                 matches!(err, WireError::BadPayload("record reading bytes")),
                 "{extra} extra bytes: {err}"

@@ -1,16 +1,17 @@
 //! Streaming-inference benchmarks: the tape-free engine against the
-//! tape-based reference on the single-record path, plus the fused batch
-//! path, with MAC-aggregate cache hit rates and a steady-state
+//! tape-based reference on single records (a batch of one), plus the
+//! batch path over the whole streamed set, and a steady-state
 //! allocation audit.
 //!
 //! Run with `cargo bench -p gem-bench --bench infer`. Each run appends
 //! one JSON line to `BENCH_infer.json` at the repository root.
 //!
-//! With `--features count-allocs` the run additionally audits the warm
-//! single-record engine path and **fails** if it performs any heap
-//! allocation — this is the zero-alloc regression gate wired into CI's
-//! bench-smoke job. The engine must also be at least 3x faster than the
-//! tape path on the single-record benchmark; the run fails otherwise.
+//! With `--features count-allocs` the run additionally audits a warm
+//! engine on single records — the batch path's sequential branch — and
+//! **fails** if it performs any heap allocation: this is the zero-alloc
+//! regression gate wired into CI's bench-smoke job. The engine must also
+//! be at least 3x faster than the tape path on the single-record
+//! benchmark; the run fails otherwise.
 //!
 //! `GEM_BENCH_QUICK=1` shrinks criterion sampling for CI smoke runs.
 
@@ -115,7 +116,7 @@ fn bench_paths(c: &mut Criterion, fx: &Fixture) {
         });
     }
 
-    // Tape-free engine, persistent scratch + warm MAC-aggregate cache.
+    // Tape-free engine on warm scratch: each record is a batch of one.
     {
         let mut engine = InferenceEngine::new();
         let mut out = Vec::new();
@@ -136,7 +137,7 @@ fn bench_paths(c: &mut Criterion, fx: &Fixture) {
         });
     }
 
-    // Fused batch path over the whole streamed set.
+    // Batch path over the whole streamed set.
     {
         let mut engine = InferenceEngine::new();
         group.bench_function("engine_batch", |b| {
@@ -176,27 +177,22 @@ fn bench_scoring(c: &mut Criterion, fx: &Fixture) {
     group.finish();
 }
 
-/// Steady-state audit of the warm single-record engine path: cache hit
-/// rate always; with `--features count-allocs` also the allocation
-/// count, which must be exactly zero.
-fn audit_steady_state(fx: &Fixture) -> (f64, Option<u64>) {
+/// Steady-state allocation audit of a warm engine on single records;
+/// `None` unless built with `--features count-allocs`, when the count
+/// must be exactly zero.
+fn audit_steady_state(fx: &Fixture) -> Option<u64> {
     let mut engine = InferenceEngine::new();
     let mut out = Vec::new();
-    // Warm pass: populates the cache and grows every scratch buffer.
+    // Warm pass: grows every scratch buffer.
     for &rid in &fx.targets {
         engine.embed_record_into(&fx.model, &fx.graph, rid, Some(&fx.trusted), &mut out);
     }
-    let warm_stats = engine.cache_stats();
     allocs::reset();
     let n = 4 * fx.targets.len();
     for i in 0..n {
         let rid = fx.targets[i % fx.targets.len()];
         engine.embed_record_into(&fx.model, &fx.graph, rid, Some(&fx.trusted), &mut out);
     }
-    let steady = engine.cache_stats();
-    let hits = steady.hits - warm_stats.hits;
-    let misses = steady.misses - warm_stats.misses;
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let audit = allocs::ENABLED.then(|| {
         let total = allocs::stats().allocs;
         assert_eq!(
@@ -205,10 +201,8 @@ fn audit_steady_state(fx: &Fixture) -> (f64, Option<u64>) {
         );
         total
     });
-    println!(
-        "steady-state cache: {hits} hits / {misses} misses (rate {hit_rate:.3}), allocs {audit:?}"
-    );
-    (hit_rate, audit)
+    println!("steady-state allocs over {n} single records: {audit:?}");
+    audit
 }
 
 #[derive(serde::Serialize)]
@@ -223,8 +217,6 @@ struct InferBenchLine {
     engine_single_records_per_sec: f64,
     batch_median_ns: f64,
     batch_records_per_sec: f64,
-    /// Steady-state MAC-aggregate cache hit rate on the warm engine.
-    cache_hit_rate: f64,
     /// Heap allocations per warm single-record inference; `null` unless
     /// built with `--features count-allocs`. Gated to exactly 0.
     allocs_per_inference: Option<u64>,
@@ -233,7 +225,7 @@ struct InferBenchLine {
     score_f64_median_ns: f64,
 }
 
-fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>) {
+fn append_results(c: &Criterion, alloc_total: Option<u64>) {
     let find = |name: &str| {
         c.reports()
             .iter()
@@ -260,7 +252,6 @@ fn append_results(c: &Criterion, hit_rate: f64, alloc_total: Option<u64>) {
         engine_single_records_per_sec: 1e9 / engine.median_ns,
         batch_median_ns: batch.median_ns,
         batch_records_per_sec: N_STREAMED as f64 / (batch.median_ns * 1e-9),
-        cache_hit_rate: hit_rate,
         allocs_per_inference: alloc_total,
         kernel_backend: gem_nn::kernels::backend_name(),
         score_f64_median_ns: score_f64.median_ns,
@@ -292,7 +283,7 @@ fn main() {
     let fx = fixture();
     bench_paths(&mut c, &fx);
     bench_scoring(&mut c, &fx);
-    let (hit_rate, alloc_total) = audit_steady_state(&fx);
+    let alloc_total = audit_steady_state(&fx);
     c.final_summary();
-    append_results(&c, hit_rate, alloc_total);
+    append_results(&c, alloc_total);
 }

@@ -1191,11 +1191,7 @@ impl BiSage {
     /// tape reference ([`BiSage::embed_all_records_tape`]).
     pub fn embed_all_records(&self, graph: &BipartiteGraph) -> Tensor {
         let records: Vec<RecordId> = (0..graph.n_records() as u32).map(RecordId).collect();
-        if records.is_empty() {
-            return Tensor::zeros(0, self.cfg.dim);
-        }
-        let mut engine = crate::InferenceEngine::new();
-        engine.embed_records_batch(self, graph, &records, None)
+        crate::InferenceEngine::new().embed_records_batch(self, graph, &records, None)
     }
 
     /// Tape-based reference for [`BiSage::embed_all_records`]; kept for
@@ -1208,74 +1204,6 @@ impl BiSage {
             return Tensor::zeros(0, self.cfg.dim);
         }
         self.embed_nodes(graph, &nodes).0
-    }
-
-    /// Stochastic variant of [`BiSage::embed_all_records`]: neighborhoods
-    /// are randomly sub-sampled (training-style), which simulates records
-    /// observed with missing MACs. GEM fits its detector on several such
-    /// variants so the histograms cover the MAC-churn reality. The
-    /// sampled tree is evaluated tape-free on the engine; the RNG stream
-    /// consumed is identical to the tape reference's.
-    pub fn embed_all_records_sampled(&self, graph: &BipartiteGraph, rng: &mut StdRng) -> Tensor {
-        let nodes: Vec<NodeId> =
-            (0..graph.n_records() as u32).map(|r| NodeId::Record(RecordId(r))).collect();
-        if nodes.is_empty() {
-            return Tensor::zeros(0, self.cfg.dim);
-        }
-        let mut engine = crate::InferenceEngine::new();
-        engine.embed_tree_sampled(self, graph, &nodes, rng)
-    }
-
-    /// Tape-based reference for [`BiSage::embed_all_records_sampled`];
-    /// kept for the engine-parity proptests.
-    #[doc(hidden)]
-    pub fn embed_all_records_sampled_tape(
-        &self,
-        graph: &BipartiteGraph,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let nodes: Vec<NodeId> =
-            (0..graph.n_records() as u32).map(|r| NodeId::Record(RecordId(r))).collect();
-        if nodes.is_empty() {
-            return Tensor::zeros(0, self.cfg.dim);
-        }
-        let tree = self.build_tree(graph, &nodes, Some(rng), None);
-        let mut g = Graph::new();
-        let mut fs = ForwardScratch::default();
-        let (h, _) = self.forward(&mut g, &tree, None, None, &mut fs);
-        g.value(h).clone()
-    }
-
-    /// Primary embedding of one (possibly new) record node. Grows and
-    /// initializes base rows as needed — this is the paper's Section V-A
-    /// embedding prediction for streamed records. The RNG is only used
-    /// for the random-init fallback of isolated new nodes.
-    pub fn embed_record(
-        &mut self,
-        graph: &BipartiteGraph,
-        record: RecordId,
-        rng: &mut impl RngExt,
-    ) -> Vec<f32> {
-        self.embed_record_filtered(graph, record, rng, None)
-    }
-
-    /// [`BiSage::embed_record`] with a trusted-record filter on the
-    /// neighborhood expansion (the streamed node itself is always kept).
-    pub fn embed_record_filtered(
-        &mut self,
-        graph: &BipartiteGraph,
-        record: RecordId,
-        rng: &mut impl RngExt,
-        trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
-    ) -> Vec<f32> {
-        self.ensure_rows_filtered(graph, rng, trusted);
-        let wrapped = trusted.map(|f| move |r: RecordId| r == record || f(r));
-        let (h, _) = self.embed_nodes_filtered(
-            graph,
-            &[NodeId::Record(record)],
-            wrapped.as_ref().map(|f| f as &(dyn Fn(RecordId) -> bool + Sync)),
-        );
-        h.row(0).to_vec()
     }
 }
 
@@ -1512,7 +1440,8 @@ mod tests {
             99.0,
             [(mac(1), -46.0), (mac(2), -56.0), (mac(3), -64.0)],
         ));
-        let h = model.embed_record(&g, rid, &mut rng);
+        model.ensure_rows(&g, &mut rng);
+        let h = crate::InferenceEngine::new().embed_record(&model, &g, rid, None);
         let hrow = Tensor::from_vec(1, h.len(), h);
         let da: f32 =
             (0..n).map(|i| Tensor::row_distance(&hrow, 0, &emb, i)).sum::<f32>() / n as f32;

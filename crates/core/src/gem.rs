@@ -24,12 +24,10 @@ use crate::pipeline::Embedder;
 /// takes the targeted per-record path, which matches the full scan
 /// bitwise — including the RNG stream of random-init fallbacks. A finite
 /// establishment threshold can re-derive provisional MAC bases anywhere
-/// in the graph, so that mode runs the full scan and drops the engine's
-/// MAC-aggregate cache.
+/// in the graph, so that mode runs the full scan.
 fn add_record_and_ensure(
     graph: &mut BipartiteGraph,
     bisage: &mut BiSage,
-    engine: &mut InferenceEngine,
     trusted: &mut Vec<bool>,
     rng: &mut StdRng,
     record: &SignalRecord,
@@ -45,7 +43,6 @@ fn add_record_and_ensure(
         bisage.ensure_rows_for_record(graph, rid, rng, Some(&filter));
     } else {
         bisage.ensure_rows_filtered(graph, rng, Some(&filter));
-        engine.invalidate();
     }
     Some(rid)
 }
@@ -83,7 +80,8 @@ pub struct Gem {
     last_added: Option<RecordId>,
     /// Optional principal-axis rotation applied before detection.
     pca: Option<PcaRotation>,
-    /// Tape-free streaming engine with the MAC-aggregate cache.
+    /// Tape-free streaming engine: scratch buffers only, nothing that
+    /// outlives a call.
     engine: InferenceEngine,
     /// Persistent output buffer for the streaming embed path.
     embed_buf: Vec<f32>,
@@ -113,7 +111,7 @@ impl Gem {
         if cfg.augment_passes > 0 {
             let mut aug_graph = graph.clone();
             let mut aug_bisage = bisage.clone();
-            let mut aug_nodes = Vec::new();
+            let mut aug_records = Vec::new();
             for _ in 0..cfg.augment_passes {
                 for rec in train.iter() {
                     // Drop ~30% of the weaker readings; the strongest few
@@ -133,12 +131,17 @@ impl Gem {
                     if pruned.is_empty() {
                         continue;
                     }
-                    aug_nodes.push(gem_graph::NodeId::Record(aug_graph.add_record(&pruned)));
+                    aug_records.push(aug_graph.add_record(&pruned));
                 }
             }
-            if !aug_nodes.is_empty() {
+            if !aug_records.is_empty() {
                 aug_bisage.ensure_rows(&aug_graph, &mut rng);
-                let (aug_h, _) = aug_bisage.embed_nodes(&aug_graph, &aug_nodes);
+                let aug_h = InferenceEngine::new().embed_records_batch(
+                    &aug_bisage,
+                    &aug_graph,
+                    &aug_records,
+                    None,
+                );
                 fit_rows.extend((0..aug_h.rows()).map(|i| aug_h.row(i).to_vec()));
             }
         }
@@ -199,7 +202,7 @@ impl Gem {
         }
         let det = self.detector.detect_and_update(&self.embed_buf);
         if let Some(rid) = self.last_added.take() {
-            self.set_trusted(rid, !det.is_outlier);
+            self.trusted[rid.0 as usize] = !det.is_outlier;
         }
         Decision {
             label: if det.is_outlier { Label::Out } else { Label::In },
@@ -225,7 +228,6 @@ impl Gem {
             rids.push(add_record_and_ensure(
                 &mut self.graph,
                 &mut self.bisage,
-                &mut self.engine,
                 &mut self.trusted,
                 &mut self.rng,
                 record,
@@ -265,7 +267,7 @@ impl Gem {
                 Some(rid) => {
                     let det = dets[k];
                     let updated = self.detector.update_if_confident(&rows[k], &det);
-                    self.set_trusted(*rid, !det.is_outlier);
+                    self.trusted[rid.0 as usize] = !det.is_outlier;
                     decisions.push(Decision {
                         label: if det.is_outlier { Label::Out } else { Label::In },
                         score: det.score,
@@ -298,7 +300,6 @@ impl Gem {
         let Some(rid) = add_record_and_ensure(
             &mut self.graph,
             &mut self.bisage,
-            &mut self.engine,
             &mut self.trusted,
             &mut self.rng,
             record,
@@ -320,17 +321,6 @@ impl Gem {
         true
     }
 
-    /// Sets a record's pseudo-label trust bit, bumping the engine's
-    /// trust epoch only when the bit actually changes (an unchanged bit
-    /// cannot invalidate any cached aggregate).
-    fn set_trusted(&mut self, rid: RecordId, trusted: bool) {
-        let slot = &mut self.trusted[rid.0 as usize];
-        if *slot != trusted {
-            *slot = trusted;
-            self.engine.notify_trust_change();
-        }
-    }
-
     /// Stage 2: score + classify an embedding without mutating the model.
     pub fn detect_only(&self, h: &[f32]) -> Detection {
         self.detector.detect(h)
@@ -348,13 +338,13 @@ impl Gem {
     pub fn update_with(&mut self, h: &[f32]) -> bool {
         let det = self.detector.detect(h);
         if let Some(rid) = self.last_added.take() {
-            self.set_trusted(rid, !det.is_outlier);
+            self.trusted[rid.0 as usize] = !det.is_outlier;
         }
         self.detector.update_if_confident(h, &det)
     }
 
-    /// Lifetime hit/miss counters of the streaming engine's MAC-aggregate
-    /// cache.
+    /// Lifetime reuse counters of the streaming engine (see
+    /// [`CacheStats`]).
     pub fn cache_stats(&self) -> CacheStats {
         self.engine.cache_stats()
     }
@@ -482,7 +472,6 @@ impl Embedder for GemEmbedder {
         let rid = add_record_and_ensure(
             &mut self.graph,
             &mut self.bisage,
-            &mut self.engine,
             &mut self.trusted,
             &mut self.rng,
             record,
@@ -497,11 +486,7 @@ impl Embedder for GemEmbedder {
 
     fn feedback(&mut self, outlier: bool) {
         if let Some(rid) = self.last_added.take() {
-            let slot = &mut self.trusted[rid.0 as usize];
-            if *slot == outlier {
-                *slot = !outlier;
-                self.engine.notify_trust_change();
-            }
+            self.trusted[rid.0 as usize] = !outlier;
         }
     }
 }

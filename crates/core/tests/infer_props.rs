@@ -10,9 +10,12 @@
 //!    trust-filtered neighborhood fallback and the isolated-node
 //!    random-init path.
 //! 2. **Batched ≡ tape.** `embed_records_batch` must reproduce the tape
-//!    forward over the same targets under the batch's set-wrapped filter.
-//! 3. **Cache soundness.** A warm engine carried across graph growth and
-//!    trust flips must match a cold engine rebuilt at every step.
+//!    forward over the same targets under the batch's set-wrapped filter,
+//!    on the sequential branch and on the worker-pool branch that batches
+//!    of at least 32 targets (and 32 distinct MACs) take.
+//! 3. **Warm ≡ cold.** An engine carried across graph growth and trust
+//!    flips must match a fresh engine at every step: nothing one call
+//!    computes may leak into the next.
 //! 4. **Targeted row init ≡ full scan.** In session-quarantine mode the
 //!    per-record `ensure_rows_for_record` must leave the model in the
 //!    same state (RNG stream included) as the full node scan.
@@ -26,8 +29,8 @@ use gem_graph::{BipartiteGraph, NodeId, RecordId, WeightFn};
 use gem_signal::{MacAddr, SignalRecord};
 
 /// Random scenario: a fitted two-cluster graph plus streamed records,
-/// some with brand-new MACs (random-init fallback, volatile cache
-/// entries) and per-record trust bits.
+/// some with brand-new MACs (random-init fallback) and per-record trust
+/// bits.
 #[derive(Debug, Clone)]
 struct Scenario {
     records: Vec<Vec<(u64, f32)>>,
@@ -84,6 +87,64 @@ impl Strategy for ScenarioStrategy {
             seed: rng.random_range(0..1u64 << 32),
             dim: [8usize, 16][rng.random_range(0..2usize)],
             rounds: rng.random_range(1..4usize),
+            uniform_sampling: rng.random_range(0..3usize) == 0,
+            inference_cap: [3usize, 48][rng.random_range(0..2usize)],
+        }
+    }
+}
+
+/// Number of streamed targets in a [`WideStrategy`] scenario; they sight
+/// all 40 fit-time MACs between them.
+const WIDE_TARGETS: usize = 40;
+
+/// Wide two-round scenario for the engine's worker-pool branches: four
+/// 10-MAC clusters, then `WIDE_TARGETS` streamed targets that between
+/// them sight every fit-time MAC, so both the targets and their distinct
+/// MACs reach the engine's fan-out threshold (32). Eight more streamed
+/// records with random trust bits are not targets, so the trust filter
+/// decides whether MAC expansions admit them.
+struct WideStrategy;
+
+impl Strategy for WideStrategy {
+    type Value = Scenario;
+
+    fn sample(&self, rng: &mut StdRng) -> Scenario {
+        let mut records = Vec::new();
+        for cluster in 0..4u64 {
+            for r in 0..5 {
+                // Each cluster's first record sights all ten MACs, so
+                // every MAC exists at fit time.
+                let mut rec = Vec::new();
+                for k in 0..10u64 {
+                    if r == 0 || rng.random_range(0..3usize) != 0 {
+                        rec.push((1 + cluster * 10 + k, rng.random_range(-80.0..-40.0f32)));
+                    }
+                }
+                records.push(rec);
+            }
+        }
+        let mut streamed = Vec::new();
+        for i in 0..WIDE_TARGETS as u64 + 8 {
+            let cluster = i % 4;
+            // Target `i` always sights MAC `i / 4` of its cluster.
+            let mut rec =
+                vec![(1 + cluster * 10 + (i / 4) % 10, rng.random_range(-85.0..-40.0f32))];
+            for _ in 0..rng.random_range(0..3usize) {
+                let mac = 1 + cluster * 10 + rng.random_range(0..10u64);
+                if rec.iter().all(|&(m, _)| m != mac) {
+                    rec.push((mac, rng.random_range(-85.0..-40.0f32)));
+                }
+            }
+            streamed.push(rec);
+        }
+        let trusted_streamed = streamed.iter().map(|_| rng.random_range(0..2usize) == 0).collect();
+        Scenario {
+            records,
+            streamed,
+            trusted_streamed,
+            seed: rng.random_range(0..1u64 << 32),
+            dim: [8usize, 16][rng.random_range(0..2usize)],
+            rounds: 2,
             uniform_sampling: rng.random_range(0..3usize) == 0,
             inference_cap: [3usize, 48][rng.random_range(0..2usize)],
         }
@@ -189,11 +250,55 @@ proptest! {
         prop_assert_eq!(bits_of(got.data()), bits_of(want.data()), "batch diverged from tape");
     }
 
-    /// A warm engine carried across graph growth and trust flips must
-    /// match a cold engine rebuilt at every step — the cache may never
-    /// serve a stale aggregate.
+    /// Batches wide enough for the worker pool: at least 32 targets over
+    /// at least 32 distinct fit-time MACs must still match the tape,
+    /// under the set-wrapped trust filter and unfiltered (the
+    /// `Gem::fit` augmentation call). Only a pool of more than one
+    /// thread takes the pooled branches (CI's forced-pool step runs
+    /// this with `GEM_NUM_THREADS=4`).
     #[test]
-    fn warm_cache_matches_cold_engine(s in ScenarioStrategy) {
+    fn pooled_batch_matches_tape_bitwise(s in WideStrategy) {
+        let (mut model, mut graph, mut rng) = fit_model(&s);
+        let mut trusted: Vec<bool> = vec![true; graph.n_records()];
+        let mut targets = Vec::new();
+        for (i, rec) in s.streamed.iter().enumerate() {
+            let rid = graph.add_record(&to_record(i, rec));
+            trusted.push(s.trusted_streamed[i]);
+            if i < WIDE_TARGETS {
+                targets.push(rid);
+            }
+        }
+        {
+            let bits: &[bool] = &trusted;
+            let filter = move |r: RecordId| bits[r.0 as usize];
+            model.ensure_rows_filtered(&graph, &mut rng, Some(&filter));
+        }
+        let sighted: std::collections::BTreeSet<u64> =
+            s.streamed[..WIDE_TARGETS].iter().flatten().map(|&(m, _)| m).collect();
+        prop_assert!(sighted.len() >= 32, "only {} distinct MACs", sighted.len());
+
+        let mut engine = InferenceEngine::new();
+        let got = engine.embed_records_batch(&model, &graph, &targets, Some(&trusted));
+        let mut in_targets = vec![false; graph.n_records()];
+        for rid in &targets {
+            in_targets[rid.0 as usize] = true;
+        }
+        let bits: &[bool] = &trusted;
+        let wrapped = move |r: RecordId| in_targets[r.0 as usize] || bits[r.0 as usize];
+        let nodes: Vec<NodeId> = targets.iter().map(|&r| NodeId::Record(r)).collect();
+        let (want, _) = model.embed_nodes_filtered(&graph, &nodes, Some(&wrapped));
+        prop_assert_eq!(bits_of(got.data()), bits_of(want.data()), "filtered batch diverged");
+
+        let got = engine.embed_records_batch(&model, &graph, &targets, None);
+        let (want, _) = model.embed_nodes(&graph, &nodes);
+        prop_assert_eq!(bits_of(got.data()), bits_of(want.data()), "unfiltered batch diverged");
+    }
+
+    /// A warm engine carried across graph growth and trust flips must
+    /// match a cold engine rebuilt at every step — no call may read
+    /// anything an earlier call computed.
+    #[test]
+    fn warm_engine_matches_cold_engine(s in ScenarioStrategy) {
         let (mut model, mut graph, mut rng) = fit_model(&s);
         let mut trusted: Vec<bool> = vec![true; graph.n_records()];
         let mut warm = InferenceEngine::new();
@@ -207,9 +312,9 @@ proptest! {
                 let filter = move |r: RecordId| bits[r.0 as usize];
                 model.ensure_rows_filtered(&graph, &mut rng, Some(&filter));
             }
-            // Embed the fresh record, plus an earlier one (the pure
-            // cross-call cache-reuse case), and compare each against a
-            // cold engine.
+            // Embed the fresh record, plus an earlier one (a MAC the warm
+            // engine already aggregated in an earlier call), and compare
+            // each against a cold engine.
             let mut probes = vec![rid];
             if i > 0 {
                 probes.push(rids[i / 2]);
@@ -221,7 +326,7 @@ proptest! {
                 prop_assert_eq!(
                     bits_of(&got),
                     bits_of(&want),
-                    "warm cache diverged at step {} probing record {}",
+                    "warm engine diverged at step {} probing record {}",
                     i,
                     probe.0
                 );
@@ -230,26 +335,22 @@ proptest! {
             // odd steps flip an arbitrary older bit (feedback churn).
             if s.trusted_streamed[i] {
                 trusted[rid.0 as usize] = true;
-                warm.notify_trust_change();
             }
             if i % 2 == 1 {
                 let j = (i * 5) % trusted.len();
                 trusted[j] = !trusted[j];
-                warm.notify_trust_change();
             }
         }
-        // The cache must actually have been exercised, not bypassed.
+        // The two-round evaluator must actually have run.
         let stats = warm.cache_stats();
         prop_assert!(
             s.rounds != 2 || stats.hits + stats.misses > 0,
-            "cache never consulted"
+            "two-round evaluator never ran"
         );
     }
 
-    /// Detector-fit paths: the engine-backed full-graph embeddings (used
-    /// by `embed_all_records` / `embed_all_records_sampled`) must match
-    /// their tape references, the sampled variant under identical RNG
-    /// streams.
+    /// Detector-fit path: the engine-backed full-graph embeddings of
+    /// `embed_all_records` must match their tape reference.
     #[test]
     fn full_graph_paths_match_tape_bitwise(s in ScenarioStrategy) {
         let (mut model, mut graph, mut rng) = fit_model(&s);
@@ -263,15 +364,6 @@ proptest! {
             bits_of(engine_all.data()),
             bits_of(tape_all.data()),
             "embed_all_records diverged"
-        );
-        let mut rng_a = StdRng::seed_from_u64(s.seed ^ 0x5A);
-        let mut rng_b = StdRng::seed_from_u64(s.seed ^ 0x5A);
-        let sampled = model.embed_all_records_sampled(&graph, &mut rng_a);
-        let sampled_tape = model.embed_all_records_sampled_tape(&graph, &mut rng_b);
-        prop_assert_eq!(
-            bits_of(sampled.data()),
-            bits_of(sampled_tape.data()),
-            "sampled path diverged"
         );
     }
 

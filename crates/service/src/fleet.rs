@@ -502,9 +502,7 @@ impl Fleet {
                     // seeding — the series keep running while cold).
                     match seed {
                         PremisesSeed::Hot { monitor, .. } => monitor.set_obs(obs.clone()),
-                        PremisesSeed::Cold { stored } => {
-                            obs.seed(&stored.state.stats, gem_core::CacheStats::default())
-                        }
+                        PremisesSeed::Cold { stored } => obs.seed(&stored.state.stats),
                     }
                     shard_monitor_obs.insert(*p, obs);
                 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use gem_core::{CacheStats, Decision, Gem};
+use gem_core::{Decision, Gem};
 use gem_obs::TraceEvent;
 use gem_signal::{Label, SignalRecord};
 
@@ -64,10 +64,6 @@ pub struct MonitorStats {
     pub alerts: usize,
     /// Model self-updates performed.
     pub model_updates: usize,
-    /// Streaming-engine MAC-aggregate cache hits.
-    pub cache_hits: u64,
-    /// Streaming-engine MAC-aggregate cache misses.
-    pub cache_misses: u64,
     /// Decision epochs applied (batched [`Monitor::process_batch`] calls;
     /// each is one model-consistent group, the fleet's replay unit).
     #[serde(default)]
@@ -91,8 +87,7 @@ pub struct MonitorState {
     pub consecutive_in: usize,
     /// Whether an alert was active at capture.
     pub alert_active: bool,
-    /// Session statistics (without live cache counters, which restart
-    /// with the streaming engine).
+    /// Session statistics.
     pub stats: MonitorStats,
 }
 
@@ -107,16 +102,12 @@ pub struct Monitor {
     /// Registry-backed instruments, attached by the fleet (optional for
     /// standalone monitors).
     obs: Option<MonitorObs>,
-    /// Engine cache counters as of the last processed scan/batch: the
-    /// baseline each scan's cache-counter movement is measured against.
-    cache_mirror: CacheStats,
 }
 
 impl Monitor {
     /// Wraps a trained model.
     pub fn new(gem: Gem, cfg: MonitorConfig) -> Self {
         assert!(cfg.alert_after >= 1 && cfg.clear_after >= 1);
-        let cache_mirror = gem.cache_stats();
         Monitor {
             gem,
             cfg,
@@ -125,7 +116,6 @@ impl Monitor {
             alert_active: false,
             stats: MonitorStats::default(),
             obs: None,
-            cache_mirror,
         }
     }
 
@@ -133,8 +123,7 @@ impl Monitor {
     /// the session's existing statistics, so attaching to a recovered
     /// monitor continues its series instead of zeroing them.
     pub fn set_obs(&mut self, obs: MonitorObs) {
-        self.cache_mirror = self.gem.cache_stats();
-        obs.seed(&self.stats, self.cache_mirror);
+        obs.seed(&self.stats);
         self.obs = Some(obs);
     }
 
@@ -143,7 +132,6 @@ impl Monitor {
     /// the instruments kept running while the monitor was cold, so
     /// seeding again would double-count everything up to the spill.
     pub(crate) fn attach_obs(&mut self, obs: MonitorObs) {
-        self.cache_mirror = self.gem.cache_stats();
         self.obs = Some(obs);
     }
 
@@ -153,7 +141,6 @@ impl Monitor {
         let decision: Decision = self.gem.infer(record);
         let mut events = Vec::with_capacity(2);
         self.apply_decision(record.timestamp_s, &decision, &mut events);
-        self.mirror_cache();
         events
     }
 
@@ -176,21 +163,7 @@ impl Monitor {
         for (record, decision) in records.iter().zip(&decisions) {
             self.apply_decision(record.timestamp_s, decision, &mut events);
         }
-        self.mirror_cache();
         events
-    }
-
-    /// Folds the engine's cache-counter movement since the last scan
-    /// into the registry counters and refreshes the mirror.
-    fn mirror_cache(&mut self) {
-        let cache = self.gem.cache_stats();
-        if let Some(obs) = &self.obs {
-            obs.cache_hits.add(cache.hits.saturating_sub(self.cache_mirror.hits));
-            obs.cache_misses.add(cache.misses.saturating_sub(self.cache_mirror.misses));
-            obs.cache_invalidations
-                .add(cache.invalidations.saturating_sub(self.cache_mirror.invalidations));
-        }
-        self.cache_mirror = cache;
     }
 
     /// Folds one decision into the statistics and the alert policy,
@@ -263,11 +236,9 @@ impl Monitor {
         self.alert_active
     }
 
-    /// Session statistics so far, with live engine cache counters
-    /// merged in (reads the engine on every call).
+    /// Session statistics so far.
     pub fn stats(&self) -> MonitorStats {
-        let cache = self.gem.cache_stats();
-        MonitorStats { cache_hits: cache.hits, cache_misses: cache.misses, ..self.stats }
+        self.stats
     }
 
     /// Borrow the underlying model (e.g. to snapshot it).
@@ -296,7 +267,6 @@ impl Monitor {
     /// [`MonitorState`] — the recovery path.
     pub fn from_state(gem: Gem, state: MonitorState) -> Monitor {
         assert!(state.cfg.alert_after >= 1 && state.cfg.clear_after >= 1);
-        let cache_mirror = gem.cache_stats();
         Monitor {
             gem,
             cfg: state.cfg,
@@ -305,7 +275,6 @@ impl Monitor {
             alert_active: state.alert_active,
             stats: state.stats,
             obs: None,
-            cache_mirror,
         }
     }
 }
@@ -437,6 +406,44 @@ mod tests {
             "restored monitor must remember the 2-out streak: {events:?}"
         );
         let _ = ds;
+    }
+
+    #[test]
+    fn sidecar_with_cache_counters_still_loads() {
+        let state = MonitorState {
+            cfg: MonitorConfig { alert_after: 4, clear_after: 3 },
+            consecutive_out: 2,
+            consecutive_in: 0,
+            alert_active: true,
+            stats: MonitorStats {
+                scans: 9,
+                in_decisions: 4,
+                out_decisions: 5,
+                alerts: 1,
+                model_updates: 3,
+                epochs: 6,
+                sheds: 2,
+            },
+        };
+        // Sidecars written by earlier versions carry the streaming
+        // engine's `cache_hits` / `cache_misses` among their stats.
+        let mut sidecar = serde::Serialize::serialize(&state);
+        let serde::Value::Object(fields) = &mut sidecar else { panic!("state is an object") };
+        let (_, stats) = fields.iter_mut().find(|(k, _)| k == "stats").expect("stats field");
+        let serde::Value::Object(stats) = stats else { panic!("stats is an object") };
+        stats.insert(5, ("cache_hits".into(), serde::Value::U64(17)));
+        stats.insert(6, ("cache_misses".into(), serde::Value::U64(40)));
+        let loaded: MonitorState =
+            serde::Deserialize::deserialize(&sidecar).expect("an older sidecar loads");
+        assert_eq!(loaded.stats, state.stats);
+        assert_eq!(
+            (loaded.cfg.alert_after, loaded.cfg.clear_after),
+            (state.cfg.alert_after, state.cfg.clear_after)
+        );
+        assert_eq!(
+            (loaded.consecutive_out, loaded.consecutive_in, loaded.alert_active),
+            (state.consecutive_out, state.consecutive_in, state.alert_active)
+        );
     }
 
     #[test]

@@ -31,10 +31,10 @@ pub struct ObsOptions {
     /// Per-shard trace-ring capacity (events retained; oldest are
     /// overwritten). 0 disables the rings entirely.
     pub ring_capacity: usize,
-    /// Register per-premises monitor series (`gem_monitor_*`,
-    /// `gem_infer_cache_*`). On by default; turn off for very large
-    /// fleets (100k+ tenants) where per-tenant label cardinality would
-    /// dominate RSS — shard- and fleet-level series stay on, and
+    /// Register per-premises monitor series (`gem_monitor_*`). On by
+    /// default; turn off for very large fleets (100k+ tenants) where
+    /// per-tenant label cardinality would dominate RSS — shard- and
+    /// fleet-level series stay on, and
     /// [`crate::Fleet::stats`] still answers per-premises via the
     /// shards.
     pub per_premises: bool,
@@ -321,9 +321,6 @@ pub struct MonitorObs {
     pub(crate) alerts: Arc<Counter>,
     pub(crate) self_updates: Arc<Counter>,
     pub(crate) epochs: Arc<Counter>,
-    pub(crate) cache_hits: Arc<Counter>,
-    pub(crate) cache_misses: Arc<Counter>,
-    pub(crate) cache_invalidations: Arc<Counter>,
     pub(crate) ring: Arc<TraceRing>,
 }
 
@@ -349,24 +346,18 @@ impl MonitorObs {
             alerts: registry.counter("gem_monitor_alerts_total", labels),
             self_updates: registry.counter("gem_monitor_self_updates_total", labels),
             epochs: registry.counter("gem_monitor_epochs_total", labels),
-            cache_hits: outcome("gem_infer_cache_events_total", "hit"),
-            cache_misses: outcome("gem_infer_cache_events_total", "miss"),
-            cache_invalidations: outcome("gem_infer_cache_events_total", "invalidation"),
             ring,
         }
     }
 
     /// Seeds the counters with pre-existing session statistics (the
     /// recovery path: the registry is fresh but the monitor is not).
-    pub(crate) fn seed(&self, stats: &MonitorStats, cache: gem_core::CacheStats) {
+    pub(crate) fn seed(&self, stats: &MonitorStats) {
         self.decisions_in.add(stats.in_decisions as u64);
         self.decisions_out.add(stats.out_decisions as u64);
         self.alerts.add(stats.alerts as u64);
         self.self_updates.add(stats.model_updates as u64);
         self.epochs.add(stats.epochs);
-        self.cache_hits.add(cache.hits);
-        self.cache_misses.add(cache.misses);
-        self.cache_invalidations.add(cache.invalidations);
     }
 
     /// Pushes a trace event when tracing is on.

@@ -79,12 +79,6 @@ pub struct BiSageConfig {
     /// (exact Eq. 3); nodes with more neighbors than this cap keep only
     /// their top-cap heaviest edges.
     pub inference_cap: usize,
-    /// A MAC node must appear in at least this many records before it
-    /// contributes to a record's neighborhood expansion at inference —
-    /// brand-new MACs carry no in/out evidence yet and would destabilize
-    /// embeddings; they join once sighted often enough (the paper's
-    /// "newly sensed MACs … improve the performance over time").
-    pub min_mac_degree: usize,
     /// Worker threads for data-parallel training and batch inference:
     /// `0` uses the process-global pool (all cores, or
     /// `GEM_NUM_THREADS`), `1` forces the sequential path on the
@@ -129,7 +123,6 @@ impl Default for BiSageConfig {
             uniform_sampling: false,
             typed_negatives: false,
             inference_cap: 48,
-            min_mac_degree: usize::MAX,
             num_threads: 0,
             grad_accum: 2,
             sparse_adam: true,
@@ -203,11 +196,10 @@ pub struct BiSage {
     pub(crate) base_l: Tensor,
     /// Which unified rows have been initialized.
     initialized: Vec<bool>,
-    /// Rows initialized before their node was *established* (enough
-    /// trusted sightings); re-derived once establishment is reached.
-    provisional: Vec<bool>,
-    /// MAC nodes below this id existed at fit time and are established
-    /// by definition.
+    /// MAC nodes below this id existed at fit time. Later MACs are
+    /// quarantined for the session: they stay in the graph but carry no
+    /// in/out evidence, so record expansions and record base rows skip
+    /// them until the next fit (see DESIGN.md).
     macs_at_fit: usize,
     /// Whether `fit` has completed at least once.
     trained: bool,
@@ -237,7 +229,6 @@ impl BiSage {
             base_h: Tensor::zeros(0, d),
             base_l: Tensor::zeros(0, d),
             initialized: Vec::new(),
-            provisional: Vec::new(),
             macs_at_fit: 0,
             trained: false,
         }
@@ -260,22 +251,50 @@ impl BiSage {
         (&self.w_h, &self.w_l)
     }
 
-    fn grow_tables(&mut self, rows_needed: usize) {
-        let d = self.cfg.dim;
-        if self.base_h.rows() >= rows_needed {
-            return;
+    /// Sizes the base tables to exactly the rows `graph` needs; new rows
+    /// start zeroed and uninitialized.
+    fn grow_tables(&mut self, graph: &BipartiteGraph) {
+        let rows = 2 * graph.n_records().max(graph.n_macs());
+        self.base_h.resize_rows(rows);
+        self.base_l.resize_rows(rows);
+        self.initialized.resize(rows, false);
+    }
+
+    /// Checks a decoded model against the embedding dimension and round
+    /// count it must serve and the graph it must cover: every tensor's
+    /// shape agrees with its data and with `dim`/`rounds`, and the base
+    /// tables hold a row for every node of `graph`.
+    pub(crate) fn check_shapes(
+        &self,
+        dim: usize,
+        rounds: usize,
+        graph: &BipartiteGraph,
+    ) -> Result<(), String> {
+        let fits = |t: &Tensor, rows: usize| {
+            t.shape() == (rows, dim) && rows.checked_mul(dim) == Some(t.len())
+        };
+        let rows = 2 * graph.n_records().max(graph.n_macs());
+        let table_rows = self.initialized.len();
+        let ok = (self.cfg.dim, self.cfg.rounds) == (dim, rounds)
+            && [&self.w_h, &self.w_l]
+                .iter()
+                .all(|ws| ws.len() == rounds && ws.iter().all(|w| fits(w, dim.saturating_mul(2))))
+            && table_rows >= rows
+            && fits(&self.base_h, table_rows)
+            && fits(&self.base_l, table_rows);
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "BiSAGE tensors do not hold {rounds} rounds of dimension {dim} over {rows} rows"
+            ))
         }
-        let grown = rows_needed.max(self.base_h.rows() * 2).max(16);
-        let mut new_h = Tensor::zeros(grown, d);
-        let mut new_l = Tensor::zeros(grown, d);
-        for i in 0..self.base_h.rows() {
-            new_h.set_row(i, self.base_h.row(i));
-            new_l.set_row(i, self.base_l.row(i));
-        }
-        self.base_h = new_h;
-        self.base_l = new_l;
-        self.initialized.resize(grown, false);
-        self.provisional.resize(grown, false);
+    }
+
+    /// Whether MAC `m` may shape inference: only MACs present at fit
+    /// time do (the session quarantine of `macs_at_fit`).
+    fn mac_at_fit(&self, m: gem_graph::MacId) -> bool {
+        (m.0 as usize) < self.macs_at_fit
     }
 
     /// Makes sure every node of the graph has initialized base rows.
@@ -290,54 +309,23 @@ impl BiSage {
     }
 
     /// [`BiSage::ensure_rows`] with a trusted-record filter: new record
-    /// bases are derived only from *established* MACs (enough trusted
-    /// sightings) and new MAC bases only from trusted records, falling
-    /// back to the unfiltered neighborhood when nothing qualifies.
+    /// bases are derived only from fit-time MACs and new MAC bases only
+    /// from trusted records, falling back to the unfiltered neighborhood
+    /// when nothing qualifies.
     pub fn ensure_rows_filtered(
         &mut self,
         graph: &BipartiteGraph,
         rng: &mut impl RngExt,
         trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
     ) {
-        let needed = 2 * graph.n_records().max(graph.n_macs());
-        self.grow_tables(needed);
+        self.grow_tables(graph);
         // MAC nodes first so that brand-new records can average them.
-        let macs: Vec<NodeId> =
-            (0..graph.n_macs() as u32).map(|m| NodeId::Mac(gem_graph::MacId(m))).collect();
-        let recs: Vec<NodeId> =
-            (0..graph.n_records() as u32).map(|r| NodeId::Record(RecordId(r))).collect();
-        for node in macs.into_iter().chain(recs) {
-            let row = node_row(node);
-            if self.initialized[row] {
-                // Provisional MAC bases are re-derived once the MAC has
-                // gathered enough trusted sightings.
-                if self.provisional[row] {
-                    if let NodeId::Mac(m) = node {
-                        let need = self.cfg.min_mac_degree;
-                        let now_established = (m.0 as usize) < self.macs_at_fit
-                            || (need != usize::MAX
-                                && match trusted {
-                                    None => true,
-                                    Some(f) => {
-                                        graph
-                                            .mac_neighbors(m)
-                                            .filter(|&(r, _)| f(r))
-                                            .take(need)
-                                            .count()
-                                            >= need
-                                    }
-                                });
-                        if now_established {
-                            self.initialized[row] = false; // re-derive below
-                            self.provisional[row] = false;
-                        }
-                    }
-                }
-                if self.initialized[row] {
-                    continue;
-                }
+        let macs = (0..graph.n_macs() as u32).map(|m| NodeId::Mac(gem_graph::MacId(m)));
+        let recs = (0..graph.n_records() as u32).map(|r| NodeId::Record(RecordId(r)));
+        for node in macs.chain(recs) {
+            if !self.initialized[node_row(node)] {
+                self.init_node_row(graph, node, rng, trusted);
             }
-            self.init_node_row(graph, node, rng, trusted);
         }
     }
 
@@ -346,11 +334,7 @@ impl BiSage {
     /// the record's newly interned MACs (interned in reading order, hence
     /// ascending id, matching the scan's MAC-first order and RNG stream)
     /// followed by the record itself — without walking the whole node
-    /// set. Only valid in session-quarantine mode
-    /// (`min_mac_degree == usize::MAX`), where the full scan never
-    /// re-derives provisional MAC bases; callers with a finite
-    /// establishment threshold must run the full scan.
-    /// Public (hidden) so the engine-parity proptests can check it
+    /// set. Public (hidden) so the engine-parity proptests can check it
     /// against the full scan bitwise, RNG stream included.
     #[doc(hidden)]
     pub fn ensure_rows_for_record(
@@ -360,9 +344,7 @@ impl BiSage {
         rng: &mut impl RngExt,
         trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
     ) {
-        debug_assert_eq!(self.cfg.min_mac_degree, usize::MAX);
-        let needed = 2 * graph.n_records().max(graph.n_macs());
-        self.grow_tables(needed);
+        self.grow_tables(graph);
         for m in graph.record_neighbors(record).map(|(m, _)| m) {
             if !self.initialized[node_row(NodeId::Mac(m))] {
                 self.init_node_row(graph, NodeId::Mac(m), rng, trusted);
@@ -390,25 +372,10 @@ impl BiSage {
         let mut l_acc = vec![0.0f32; d];
         let mut w_sum = 0.0f32;
         if self.trained {
-            let established = |m: gem_graph::MacId| -> bool {
-                if (m.0 as usize) < self.macs_at_fit {
-                    return true;
-                }
-                if self.cfg.min_mac_degree == usize::MAX {
-                    return false;
-                }
-                let need = self.cfg.min_mac_degree;
-                match trusted {
-                    None => true,
-                    Some(f) => {
-                        graph.mac_neighbors(m).filter(|&(r, _)| f(r)).take(need).count() >= need
-                    }
-                }
-            };
             let mut neighbors: Vec<(NodeId, f32)> = match node {
                 NodeId::Record(r) => graph
                     .record_neighbors(r)
-                    .filter(|&(m, _)| established(m))
+                    .filter(|&(m, _)| self.mac_at_fit(m))
                     .map(|(m, w)| (NodeId::Mac(m), w))
                     .collect(),
                 NodeId::Mac(m) => graph
@@ -453,23 +420,6 @@ impl BiSage {
             self.base_l.set_row(row, l.row(0));
         }
         self.initialized[row] = true;
-        // New MAC nodes seen by too few trusted records keep a
-        // provisional base until they are established.
-        if let NodeId::Mac(m) = node {
-            if self.trained {
-                let need = self.cfg.min_mac_degree;
-                let established = (m.0 as usize) < self.macs_at_fit
-                    || (need != usize::MAX
-                        && match trusted {
-                            None => true,
-                            Some(f) => {
-                                graph.mac_neighbors(m).filter(|&(r, _)| f(r)).take(need).count()
-                                    >= need
-                            }
-                        });
-                self.provisional[row] = !established;
-            }
-        }
     }
 
     /// Pure half of [`BiSage::derive_record_base`]: the inductive
@@ -546,7 +496,7 @@ impl BiSage {
     /// [`BiSage::neighborhood`], writing into a caller-owned buffer so
     /// the streaming engine can collect neighborhoods without
     /// allocating. Semantics are identical to the allocating path:
-    /// established-MAC / trusted-record filtering, raw-neighborhood
+    /// fit-time-MAC / trusted-record filtering, raw-neighborhood
     /// fallback, top-`inference_cap` truncation.
     pub(crate) fn neighborhood_into(
         &self,
@@ -556,31 +506,11 @@ impl BiSage {
         out: &mut Vec<(NodeId, f32)>,
     ) {
         out.clear();
-        // A MAC is "established" once enough *trusted* records
-        // have sighted it; until then it carries no reliable
-        // in/out evidence and is left out of record expansions.
-        let established = |m: gem_graph::MacId| -> bool {
-            // MACs present at fit time are established by
-            // definition; later arrivals must first gather
-            // enough trusted sightings (usize::MAX = session
-            // quarantine: never admitted before a re-fit).
-            if (m.0 as usize) < self.macs_at_fit {
-                return true;
-            }
-            let need = self.cfg.min_mac_degree;
-            if need == usize::MAX {
-                return false;
-            }
-            match trusted {
-                None => true,
-                Some(f) => graph.mac_neighbors(m).filter(|&(r, _)| f(r)).take(need).count() >= need,
-            }
-        };
         match node {
             NodeId::Record(r) => out.extend(
                 graph
                     .record_neighbors(r)
-                    .filter(|&(m, _)| established(m))
+                    .filter(|&(m, _)| self.mac_at_fit(m))
                     .map(|(m, w)| (NodeId::Mac(m), w)),
             ),
             NodeId::Mac(m) => out.extend(
@@ -590,7 +520,7 @@ impl BiSage {
                     .map(|(r, w)| (NodeId::Record(r), w)),
             ),
         }
-        // Freshly streamed nodes may have no established
+        // Freshly streamed nodes may have no fit-time or trusted
         // neighbors at all; fall back to the raw neighborhood
         // rather than embedding from nothing.
         if out.is_empty() {

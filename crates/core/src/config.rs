@@ -46,11 +46,6 @@ pub struct GemConfig {
     /// Top-K heaviest-edge cap for deterministic full-neighborhood
     /// inference.
     pub inference_cap: usize,
-    /// Minimum *trusted* sightings before a post-fit MAC contributes to
-    /// inference neighborhoods; `usize::MAX` (default) quarantines new
-    /// MACs for the whole session — they stay in the graph and join the
-    /// evidence pool at the next re-fit (see DESIGN.md).
-    pub min_mac_degree: usize,
     /// Extra pruned-copy embedding passes per training record when
     /// fitting the detector; simulates records with missing MACs so the
     /// histograms tolerate AP churn.
@@ -118,7 +113,6 @@ impl Default for GemConfig {
             uniform_sampling: false,
             typed_negatives: false,
             inference_cap: 48,
-            min_mac_degree: usize::MAX,
             augment_passes: 2,
             augment_drop: 0.15,
             augment_anchors: 5,
@@ -158,7 +152,6 @@ impl GemConfig {
             uniform_sampling: self.uniform_sampling,
             typed_negatives: self.typed_negatives,
             inference_cap: self.inference_cap,
-            min_mac_degree: self.min_mac_degree,
             num_threads: self.num_threads,
             grad_accum: self.grad_accum,
             sparse_adam: self.sparse_adam,

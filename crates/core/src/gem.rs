@@ -17,14 +17,10 @@ use crate::pca::PcaRotation;
 use crate::pipeline::Embedder;
 
 /// Adds a streamed record to the graph and initializes exactly the base
-/// rows the addition introduced. `None` when the record is empty or
-/// shares no MAC with the graph (outlier by rule; not added).
-///
-/// Session-quarantine mode (`min_mac_degree == usize::MAX`, the default)
-/// takes the targeted per-record path, which matches the full scan
-/// bitwise — including the RNG stream of random-init fallbacks. A finite
-/// establishment threshold can re-derive provisional MAC bases anywhere
-/// in the graph, so that mode runs the full scan.
+/// rows the addition introduced, through the targeted per-record path
+/// (bitwise equal to the full node scan, RNG stream of random-init
+/// fallbacks included). `None` when the record is empty or shares no MAC
+/// with the graph (outlier by rule; not added).
 fn add_record_and_ensure(
     graph: &mut BipartiteGraph,
     bisage: &mut BiSage,
@@ -39,11 +35,7 @@ fn add_record_and_ensure(
     trusted.push(false);
     let bits: &[bool] = trusted;
     let filter = move |r: RecordId| bits[r.0 as usize];
-    if bisage.cfg.min_mac_degree == usize::MAX {
-        bisage.ensure_rows_for_record(graph, rid, rng, Some(&filter));
-    } else {
-        bisage.ensure_rows_filtered(graph, rng, Some(&filter));
-    }
+    bisage.ensure_rows_for_record(graph, rid, rng, Some(&filter));
     Some(rid)
 }
 
@@ -71,7 +63,6 @@ pub struct Gem {
     detector: EnhancedDetector,
     rng: StdRng,
     train_report: TrainReport,
-    train_embeddings: Tensor,
     /// Per-record pseudo-label: training records and streamed records
     /// classified in-premises are trusted; records classified as
     /// outliers stay in the graph but are excluded from neighborhood
@@ -83,10 +74,6 @@ pub struct Gem {
     /// Tape-free streaming engine: scratch buffers only, nothing that
     /// outlives a call.
     engine: InferenceEngine,
-    /// Persistent output buffer for the streaming embed path.
-    embed_buf: Vec<f32>,
-    /// Persistent scratch for the PCA rotation.
-    pca_buf: Vec<f32>,
 }
 
 impl Gem {
@@ -183,33 +170,18 @@ impl Gem {
             detector,
             rng,
             train_report,
-            train_embeddings,
             trusted,
             last_added: None,
             pca,
             engine: InferenceEngine::new(),
-            embed_buf: Vec::new(),
-            pca_buf: Vec::new(),
         }
     }
 
     /// Full online inference for one streamed record: add to the graph,
     /// embed through the streaming engine, detect, and self-update on
-    /// highly confident in-premises samples.
+    /// highly confident in-premises samples. A batch of one.
     pub fn infer(&mut self, record: &SignalRecord) -> Decision {
-        if !self.add_and_embed_buffered(record) {
-            return Decision { label: Label::Out, score: 1.0, updated: false, known_macs: false };
-        }
-        let det = self.detector.detect_and_update(&self.embed_buf);
-        if let Some(rid) = self.last_added.take() {
-            self.trusted[rid.0 as usize] = !det.is_outlier;
-        }
-        Decision {
-            label: if det.is_outlier { Label::Out } else { Label::In },
-            score: det.score,
-            updated: det.confident_inlier,
-            known_macs: true,
-        }
+        self.infer_batch(std::slice::from_ref(record))[0]
     }
 
     /// Batched online inference: adds every embeddable record, embeds
@@ -286,39 +258,19 @@ impl Gem {
     /// `None` when the record shares no MAC with the graph — such records
     /// are outliers by rule and are *not* added.
     pub fn add_and_embed(&mut self, record: &SignalRecord) -> Option<Vec<f32>> {
-        if self.add_and_embed_buffered(record) {
-            Some(self.embed_buf.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Buffered stage 1: embeds into the persistent `embed_buf` through
-    /// the streaming engine — no steady-state allocations beyond graph
-    /// growth. Returns whether the record was embeddable.
-    fn add_and_embed_buffered(&mut self, record: &SignalRecord) -> bool {
-        let Some(rid) = add_record_and_ensure(
+        let rid = add_record_and_ensure(
             &mut self.graph,
             &mut self.bisage,
             &mut self.trusted,
             &mut self.rng,
             record,
-        ) else {
-            return false;
-        };
+        )?;
         self.last_added = Some(rid);
-        self.engine.embed_record_into(
-            &self.bisage,
-            &self.graph,
-            rid,
-            Some(&self.trusted),
-            &mut self.embed_buf,
-        );
-        if let Some(rotation) = &self.pca {
-            rotation.apply_into(&self.embed_buf, &mut self.pca_buf);
-            std::mem::swap(&mut self.embed_buf, &mut self.pca_buf);
-        }
-        true
+        let h = self.engine.embed_record(&self.bisage, &self.graph, rid, Some(&self.trusted));
+        Some(match &self.pca {
+            Some(rotation) => rotation.apply(&h),
+            None => h,
+        })
     }
 
     /// Stage 2: score + classify an embedding without mutating the model.
@@ -369,11 +321,6 @@ impl Gem {
         &self.train_report
     }
 
-    /// Primary embeddings of the initial training records.
-    pub fn training_embeddings(&self) -> &Tensor {
-        &self.train_embeddings
-    }
-
     /// Per-record pseudo-label trust bits (aligned with the graph's
     /// record ids).
     pub fn trusted_records(&self) -> &[bool] {
@@ -405,7 +352,6 @@ impl Gem {
         bisage: BiSage,
         detector: EnhancedDetector,
         train_report: TrainReport,
-        train_embeddings: Tensor,
         trusted: Vec<bool>,
         pca: Option<PcaRotation>,
         rng_state: Option<[u64; 4]>,
@@ -421,13 +367,10 @@ impl Gem {
             detector,
             rng,
             train_report,
-            train_embeddings,
             trusted,
             last_added: None,
             pca,
             engine: InferenceEngine::new(),
-            embed_buf: Vec::new(),
-            pca_buf: Vec::new(),
         }
     }
 }

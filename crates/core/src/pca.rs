@@ -72,17 +72,10 @@ impl PcaRotation {
         out
     }
 
-    /// Rotates one vector into `out`, reusing its capacity (the
-    /// allocation-free twin of [`PcaRotation::apply`]).
-    pub fn apply_into(&self, x: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
-        let d = x.len();
-        out.clear();
-        out.resize(d, 0.0);
-        for (k, slot) in out.iter_mut().enumerate() {
-            let axis = self.basis.row(k);
-            *slot = x.iter().zip(&self.mean).zip(axis).map(|((&v, &m), &a)| (v - m) * a).sum();
-        }
+    /// Whether this rotates `d`-dimensional vectors: a check for decoded
+    /// rotations, whose shapes nothing else guarantees.
+    pub(crate) fn has_dim(&self, d: usize) -> bool {
+        self.mean.len() == d && self.basis.shape() == (d, d) && self.basis.len() == d * d
     }
 
     /// Rotates every row of a matrix.

@@ -31,7 +31,6 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use gem_graph::BipartiteGraph;
-use gem_nn::Tensor;
 
 use crate::bisage::{BiSage, TrainReport};
 use crate::config::GemConfig;
@@ -47,7 +46,7 @@ const VERSION: u32 = 1;
 /// image is never mistaken for the JSON export (which opens with `{`).
 const IMAGE_MAGIC: [u8; 4] = *b"\x89GEM";
 /// Binary image layout version, checked before any field is decoded.
-const IMAGE_VERSION: u32 = 2;
+const IMAGE_VERSION: u32 = 3;
 
 /// A complete serialized GEM system.
 #[derive(Serialize, Deserialize)]
@@ -64,8 +63,6 @@ pub struct GemSnapshot {
     pub detector: EnhancedDetector,
     /// BiSAGE training diagnostics.
     pub train_report: TrainReport,
-    /// Primary embeddings of the initial training records.
-    pub train_embeddings: Tensor,
     /// Per-record pseudo-label trust bits.
     pub trusted: Vec<bool>,
     /// The fitted PCA rotation, when enabled.
@@ -120,7 +117,6 @@ impl GemSnapshot {
             bisage: gem.bisage().clone(),
             detector: gem.detector().clone(),
             train_report: gem.train_report().clone(),
-            train_embeddings: gem.training_embeddings().clone(),
             trusted: gem.trusted_records().to_vec(),
             pca: gem.pca().cloned(),
             rng: Some(gem.rng_state()),
@@ -128,7 +124,8 @@ impl GemSnapshot {
     }
 
     /// Restores a runnable system. Fails when the snapshot is internally
-    /// inconsistent (e.g. trust bits not matching the graph).
+    /// inconsistent (e.g. trust bits not matching the graph, or a tensor
+    /// whose shape disagrees with its data or the configuration).
     pub fn restore(self) -> Result<Gem, PersistError> {
         if self.format != FORMAT {
             return Err(PersistError::Incompatible(format!("format tag {:?}", self.format)));
@@ -151,13 +148,21 @@ impl GemSnapshot {
                 "config enables pca_rotation but the snapshot has no rotation".into(),
             ));
         }
+        let dim = self.cfg.embedding_dim;
+        self.bisage
+            .check_shapes(dim, self.cfg.rounds, &self.graph)
+            .map_err(PersistError::Incompatible)?;
+        if self.pca.as_ref().is_some_and(|p| !p.has_dim(dim)) {
+            return Err(PersistError::Incompatible(format!(
+                "PCA rotation is not {dim}-dimensional"
+            )));
+        }
         Ok(Gem::from_parts(
             self.cfg,
             self.graph,
             self.bisage,
             self.detector,
             self.train_report,
-            self.train_embeddings,
             self.trusted,
             self.pca,
             self.rng,
@@ -401,12 +406,16 @@ mod tests {
     use gem_rfsim::{Scenario, ScenarioConfig};
     use gem_signal::Label;
 
-    fn trained_gem() -> (Gem, gem_signal::Dataset) {
+    fn dataset() -> gem_signal::Dataset {
         let mut cfg = ScenarioConfig::user(1);
         cfg.train_duration_s = 150.0;
         cfg.n_test_in = 30;
         cfg.n_test_out = 30;
-        let ds = Scenario::build(cfg).generate();
+        Scenario::build(cfg).generate()
+    }
+
+    fn trained_gem() -> (Gem, gem_signal::Dataset) {
+        let ds = dataset();
         (Gem::fit(GemConfig::default(), &ds.train), ds)
     }
 
@@ -469,6 +478,45 @@ mod tests {
         let mut snap = GemSnapshot::capture(&gem);
         snap.trusted.pop();
         assert!(matches!(snap.restore(), Err(PersistError::Incompatible(_))));
+    }
+
+    #[test]
+    fn rejects_tensors_that_disagree_with_their_shape() {
+        let cfg = GemConfig { pca_rotation: true, ..GemConfig::default() };
+        let gem = Gem::fit(cfg, &dataset().train);
+        let json = GemSnapshot::capture(&gem).to_json().unwrap();
+        assert!(GemSnapshot::from_json(&json).unwrap().restore().is_ok());
+        // A `w_h[0]` whose declared rows are not its data's would panic
+        // the first `infer` inside matmul (a shard thread, when served).
+        let w_h = "\"w_h\":[{\"rows\":64,";
+        assert_eq!(json.matches(w_h).count(), 1);
+        let bad_rows = json.replace(w_h, "\"w_h\":[{\"rows\":1064,");
+        // A configured dimension the tensors do not have.
+        let bad_dim = json.replacen("\"embedding_dim\":32", "\"embedding_dim\":16", 1);
+        // A PCA basis with a row too many.
+        let basis = "\"basis\":{\"rows\":32,";
+        assert_eq!(json.matches(basis).count(), 1);
+        let bad_basis = json.replace(basis, "\"basis\":{\"rows\":33,");
+        for bad in [bad_rows, bad_dim, bad_basis] {
+            let snap = GemSnapshot::from_json(&bad).unwrap();
+            assert!(matches!(snap.restore(), Err(PersistError::Incompatible(_))));
+        }
+    }
+
+    #[test]
+    fn streamed_tables_hold_exactly_the_graph_rows() {
+        let (mut gem, ds) = trained_gem();
+        let fitted = gem.graph().n_records();
+        for t in &ds.test {
+            gem.infer(&t.record);
+            if gem.graph().n_records() > fitted {
+                break;
+            }
+        }
+        assert_eq!(gem.graph().n_records(), fitted + 1, "one record streamed");
+        let snap = GemSnapshot::capture(&gem);
+        let rows = 2 * snap.graph.n_records().max(snap.graph.n_macs());
+        assert_eq!((snap.bisage.base_h.rows(), snap.bisage.base_l.rows()), (rows, rows));
     }
 
     #[test]
@@ -596,15 +644,34 @@ mod tests {
             assert_eq!(back.to_json().unwrap(), json);
             assert_eq!(back.to_image(), image);
         }
-        // A JSON export written before the `fused_kernels` flags were
-        // removed still loads: its extra keys are ignored.
-        let legacy =
-            json.replace("\"sparse_adam\":true", "\"sparse_adam\":true,\"fused_kernels\":true");
-        assert_eq!(legacy.matches("\"fused_kernels\"").count(), 2);
+        // A JSON export written before the `fused_kernels` flags, the
+        // `min_mac_degree` knobs, the provisional row bits and the
+        // training-embedding copy were removed still loads: its extra
+        // keys are ignored.
+        let legacy = json
+            .replace("\"sparse_adam\":true", "\"sparse_adam\":true,\"fused_kernels\":true")
+            .replace(
+                "\"inference_cap\":48",
+                "\"inference_cap\":48,\"min_mac_degree\":18446744073709551615",
+            )
+            .replace(",\"macs_at_fit\":", ",\"provisional\":[false,true],\"macs_at_fit\":")
+            .replace(
+                ",\"trusted\":[",
+                ",\"train_embeddings\":{\"rows\":1,\"cols\":2,\"data\":[0.5,-0.25]},\"trusted\":[",
+            );
+        for (key, count) in [
+            ("fused_kernels", 2),
+            ("min_mac_degree", 2),
+            ("provisional", 1),
+            ("train_embeddings", 1),
+        ] {
+            assert_eq!(legacy.matches(&format!("\"{key}\":")).count(), count, "{key}");
+        }
         assert_eq!(GemSnapshot::from_image(legacy.as_bytes()).unwrap().to_image(), image);
-        // Another layout version (the version 1 layout included),
-        // truncation, trailing bytes and unknown leading bytes all refuse.
-        for version in [1, IMAGE_VERSION + 1] {
+        // Another layout version (versions 1 and 2, which carried fields
+        // since removed, included), truncation, trailing bytes and unknown
+        // leading bytes all refuse.
+        for version in [1, 2, IMAGE_VERSION + 1] {
             let mut wrong = image.clone();
             wrong[4..8].copy_from_slice(&u32::to_le_bytes(version));
             assert!(matches!(GemSnapshot::from_image(&wrong), Err(PersistError::Incompatible(_))));

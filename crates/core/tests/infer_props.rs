@@ -16,9 +16,9 @@
 //! 3. **Warm ≡ cold.** An engine carried across graph growth and trust
 //!    flips must match a fresh engine at every step: nothing one call
 //!    computes may leak into the next.
-//! 4. **Targeted row init ≡ full scan.** In session-quarantine mode the
-//!    per-record `ensure_rows_for_record` must leave the model in the
-//!    same state (RNG stream included) as the full node scan.
+//! 4. **Targeted row init ≡ full scan.** The per-record
+//!    `ensure_rows_for_record` that serving runs must leave the model in
+//!    the same state (RNG stream included) as the full node scan.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -367,9 +367,9 @@ proptest! {
         );
     }
 
-    /// In session-quarantine mode the targeted per-record row init must
-    /// leave the model bitwise identical to the full node scan — RNG
-    /// stream included (both models then embed identically everywhere).
+    /// The targeted per-record row init serving runs must leave the
+    /// model bitwise identical to the full node scan — RNG stream
+    /// included (both models then embed identically everywhere).
     #[test]
     fn targeted_ensure_matches_full_scan(s in ScenarioStrategy) {
         let (model, mut graph, _) = fit_model(&s);

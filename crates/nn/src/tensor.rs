@@ -142,6 +142,14 @@ impl Tensor {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Grows (zero-filling) or truncates the tensor to `rows` rows,
+    /// keeping the leading rows. Growth is amortized by the backing
+    /// `Vec`, so a table grown one row at a time reallocates rarely.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.rows = rows;
+        self.data.resize(rows * self.cols, 0.0);
+    }
+
     /// Matrix product `self · rhs`.
     ///
     /// Runs the runtime-dispatched cache-blocked kernel from
@@ -321,6 +329,15 @@ mod tests {
 
     fn t(rows: usize, cols: usize, v: &[f32]) -> Tensor {
         Tensor::from_vec(rows, cols, v.to_vec())
+    }
+
+    #[test]
+    fn resize_rows_keeps_leading_rows() {
+        let mut a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
+        a.resize_rows(3);
+        assert_eq!((a.shape(), a.data()), ((3, 2), &[1.0, 2.0, 3.0, 4.0, 0.0, 0.0][..]));
+        a.resize_rows(1);
+        assert_eq!((a.shape(), a.data()), ((1, 2), &[1.0, 2.0][..]));
     }
 
     #[test]

@@ -24,19 +24,12 @@
 //!   a region may use without resizing the pool.
 //! - Panics in jobs are captured and propagated to the caller after all
 //!   jobs finish (no poisoned pool, no detached unwinding workers).
-//! - Optional tracing: [`set_trace_ring`] installs a [`TraceRing`] that
-//!   receives one `par_span` event per thread per region (who ran how
-//!   many tasks for how long), the raw material for per-thread chunk
-//!   timelines in the train bench.
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
-
-use gem_obs::{TraceEvent, TraceRing};
 
 // ---------------------------------------------------------------------------
 // Pool
@@ -78,19 +71,16 @@ impl Batch {
         self.seats.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| s.checked_sub(1)).is_ok()
     }
 
-    /// Claims and runs tasks until the cursor is exhausted. Returns the
-    /// number of tasks this thread executed.
-    fn run_claimed(&self) -> usize {
-        let mut ran = 0usize;
+    /// Claims and runs tasks until the cursor is exhausted.
+    fn run_claimed(&self) {
         loop {
             let idx = self.cursor.fetch_add(1, Ordering::AcqRel);
             if idx >= self.tasks.len() {
-                return ran;
+                return;
             }
             // SAFETY: `fetch_add` handed `idx` to this thread exclusively.
             if let Some(job) = unsafe { (*self.tasks[idx].get()).take() } {
                 job();
-                ran += 1;
             }
         }
     }
@@ -115,8 +105,6 @@ thread_local! {
     /// Per-thread cap on region parallelism (including the caller);
     /// `usize::MAX` means uncapped. See [`thread_cap`].
     static THREAD_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Worker index for trace attribution; `-1` on non-pool threads.
-    static WORKER_ID: Cell<i64> = const { Cell::new(-1) };
 }
 
 fn worker_loop(shared: Arc<Shared>) {
@@ -137,9 +125,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let span = SpanStart::begin();
-        let ran = batch.run_claimed();
-        span.finish(ran);
+        batch.run_claimed();
     }
 }
 
@@ -154,7 +140,6 @@ fn pool() -> &'static Pool {
                 .name(format!("gem-par-{i}"))
                 .spawn(move || {
                     IN_WORKER.with(|f| f.set(true));
-                    WORKER_ID.with(|w| w.set(i as i64));
                     worker_loop(shared);
                 })
                 .expect("spawn gem-par worker");
@@ -224,47 +209,6 @@ pub fn effective_threads() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Tracing
-// ---------------------------------------------------------------------------
-
-static TRACE: OnceLock<Arc<TraceRing>> = OnceLock::new();
-
-/// Installs a global trace ring receiving one `par_span` event per
-/// thread per parallel region (`worker` is the pool worker index or -1
-/// for the calling thread, `tasks` the number of tasks it ran, `busy_ns`
-/// the wall time it spent running them). Returns false if a ring was
-/// already installed (the first one wins).
-pub fn set_trace_ring(ring: Arc<TraceRing>) -> bool {
-    TRACE.set(ring).is_ok()
-}
-
-/// Start of a per-thread region span; inert unless a ring is installed.
-struct SpanStart(Option<Instant>);
-
-impl SpanStart {
-    fn begin() -> SpanStart {
-        SpanStart(TRACE.get().map(|_| Instant::now()))
-    }
-
-    fn finish(self, tasks_run: usize) {
-        if let (Some(t0), Some(ring)) = (self.0, TRACE.get()) {
-            if tasks_run > 0 {
-                ring.push(
-                    TraceEvent::new("par_span")
-                        .with("worker", WORKER_ID.with(|w| w.get()))
-                        .with("tasks", tasks_run)
-                        .with("busy_ns", elapsed_ns(t0)),
-                );
-            }
-        }
-    }
-}
-
-fn elapsed_ns(t0: Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
-// ---------------------------------------------------------------------------
 // Scoped fork-join core
 // ---------------------------------------------------------------------------
 
@@ -308,11 +252,9 @@ fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
     let allowed = effective_threads();
     let sequential = n == 1 || allowed == 1 || in_parallel_region() || pool().workers == 0;
     if sequential {
-        let span = SpanStart::begin();
         for task in tasks {
             task();
         }
-        span.finish(n);
         return;
     }
 
@@ -360,9 +302,7 @@ fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
 
         // The calling thread claims tasks from its own batch (it would
         // otherwise idle inside `wait`).
-        let span = SpanStart::begin();
-        let ran = batch.run_claimed();
-        span.finish(ran);
+        batch.run_claimed();
         latch.wait();
 
         // Every task has run; unlink the batch so the queue does not
@@ -447,22 +387,6 @@ pub fn par_for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sy
     par_chunks_mut(items, 1, |idx, chunk| f(idx, &mut chunk[0]));
 }
 
-/// Run independent closures in parallel, returning their results in
-/// argument order.
-pub fn par_join<A: Send, B: Send>(
-    a: impl FnOnce() -> A + Send,
-    b: impl FnOnce() -> B + Send,
-) -> (A, B) {
-    let mut ra: Option<A> = None;
-    let mut rb: Option<B> = None;
-    {
-        let task_a: Box<dyn FnOnce() + Send + '_> = Box::new(|| ra = Some(a()));
-        let task_b: Box<dyn FnOnce() + Send + '_> = Box::new(|| rb = Some(b()));
-        scope_run(vec![task_a, task_b]);
-    }
-    (ra.expect("gem-par: join arm a missing"), rb.expect("gem-par: join arm b missing"))
-}
-
 /// Chunk size that gives every thread one contiguous chunk (bounded
 /// below to amortize dispatch overhead on tiny inputs). Batch-claim
 /// dispatch makes finer splitting for load balance unnecessary: a
@@ -520,13 +444,6 @@ mod tests {
             assert_eq!(idx, i);
             assert_eq!(v as usize, 2 * i);
         }
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = par_join(|| 21 * 2, || "right".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "right");
     }
 
     #[test]
@@ -611,27 +528,5 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn trace_ring_records_region_spans() {
-        let ring = Arc::new(TraceRing::new(64));
-        // First set wins; either way a ring is installed for this test
-        // binary from here on.
-        set_trace_ring(Arc::clone(&ring));
-        let items: Vec<u64> = (0..1024).collect();
-        let _ = par_map(&items, |x| x + 1);
-        let events = ring.snapshot();
-        assert!(!events.is_empty(), "expected at least one par_span event");
-        let total_tasks: u64 = events
-            .iter()
-            .filter(|e| e.kind == "par_span")
-            .flat_map(|e| e.fields.iter())
-            .filter_map(|(k, v)| match (k, v) {
-                (&"tasks", gem_obs::TraceValue::U64(n)) => Some(*n),
-                _ => None,
-            })
-            .sum();
-        assert!(total_tasks >= 1, "spans must attribute the executed tasks");
     }
 }

@@ -862,15 +862,13 @@ fn attack(h: &Harness) {
 
 // ------------------------------------------------------------- extensions
 
-/// Extensions beyond the paper: Deep SVDD (the related-work family the
-/// paper dismisses at this data scale) and the PCA-rotated detector.
+/// Extensions beyond the paper: Deep SVDD, the related-work family the
+/// paper dismisses at this data scale.
 fn extensions(h: &Harness) {
     let users: Vec<Dataset> =
         [0usize, 4, 7].iter().map(|&i| eval_dataset(&evaluation_users()[i])).collect();
-    let mut table = Table::new(
-        "Extensions — Deep SVDD baseline and PCA-rotated detector (3 users)",
-        &["System", "F_in", "F_out"],
-    );
+    let mut table =
+        Table::new("Extensions — Deep SVDD baseline (3 users)", &["System", "F_in", "F_out"]);
     // GEM reference.
     let mut acc = MetricAccumulator::new();
     for ds in &users {
@@ -878,13 +876,6 @@ fn extensions(h: &Harness) {
     }
     let (fi, fo) = acc.mean_f();
     table.row(vec!["GEM (default)".into(), fmt(fi), fmt(fo)]);
-    // GEM + PCA rotation.
-    let mut acc = MetricAccumulator::new();
-    for ds in &users {
-        acc.push(&eval_gem(GemConfig { pca_rotation: true, ..GemConfig::default() }, ds));
-    }
-    let (fi, fo) = acc.mean_f();
-    table.row(vec!["GEM + PCA rotation".into(), fmt(fi), fmt(fo)]);
     // Deep SVDD on the padded matrix.
     let mut acc = MetricAccumulator::new();
     for ds in &users {

@@ -1078,17 +1078,6 @@ impl BiSage {
         })
     }
 
-    /// Diagnostic: the depth-1 expansion (MAC neighbors) a record target
-    /// would use at inference under a trust filter.
-    pub fn debug_expansion(
-        &self,
-        graph: &BipartiteGraph,
-        record: RecordId,
-        trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
-    ) -> Vec<(NodeId, f32)> {
-        self.neighborhood(graph, NodeId::Record(record), 0, None, trusted)
-    }
-
     /// Computes final `(h^K, l^K)` embeddings for a set of nodes through
     /// the learned aggregation, deterministically over the (capped) full
     /// neighborhoods. Rows for every tree node must exist (call
@@ -1152,39 +1141,6 @@ pub enum StepEvent {
     GroupStart,
     /// Finished the group: optimizer step applied, gradients cleared.
     GroupEnd,
-}
-
-/// Bridges [`StepEvent`]s into observability metrics: counts finished
-/// optimizer step groups on `groups` and records each group's wall time
-/// (nanoseconds) into `group_seconds`, from which training throughput
-/// (groups/s, p99 group time) is derivable. Pass the returned closure
-/// to [`BiSage::fit_instrumented`]:
-///
-/// ```
-/// use gem_core::bisage::{obs_step_recorder, BiSage, BiSageConfig};
-/// use gem_graph::{BipartiteGraph, WeightFn};
-///
-/// let registry = gem_obs::Registry::new();
-/// let groups = registry.counter("gem_train_step_groups_total", &[]);
-/// let group_time = registry.histogram("gem_train_step_group_seconds", &[]);
-/// let mut model = BiSage::new(BiSageConfig { epochs: 1, ..BiSageConfig::default() });
-/// let mut on_event = obs_step_recorder(groups, group_time);
-/// model.fit_instrumented(&BipartiteGraph::new(WeightFn::default()), &mut on_event);
-/// ```
-pub fn obs_step_recorder(
-    groups: std::sync::Arc<gem_obs::Counter>,
-    group_seconds: std::sync::Arc<gem_obs::Histogram>,
-) -> impl FnMut(StepEvent) {
-    let mut started: Option<std::time::Instant> = None;
-    move |event| match event {
-        StepEvent::GroupStart => started = Some(std::time::Instant::now()),
-        StepEvent::GroupEnd => {
-            if let Some(t0) = started.take() {
-                groups.inc();
-                group_seconds.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-        }
-    }
 }
 
 /// Persistent per-chunk training state: phase 1 (plan) fills `targets`

@@ -55,10 +55,6 @@ pub struct GemConfig {
     pub augment_drop: f64,
     /// The strongest readings of a record that augmentation never drops.
     pub augment_anchors: usize,
-    /// Rotate embeddings into the training cloud's principal axes before
-    /// the histogram detector (extension beyond the paper; see
-    /// `gem_core::pca`).
-    pub pca_rotation: bool,
     /// Histogram bins per dimension `m`.
     pub bins: usize,
     /// Softmax scaling factor `T` (paper Eq. 10).
@@ -116,7 +112,6 @@ impl Default for GemConfig {
             augment_passes: 2,
             augment_drop: 0.15,
             augment_anchors: 5,
-            pca_rotation: false,
             bins: 10,
             temperature: 0.06,
             tau_u: 0.005,

@@ -185,6 +185,17 @@ impl EnhancedDetector {
     pub fn n_samples(&self) -> usize {
         self.hist.n_samples()
     }
+
+    /// Checks decoded state against the embedding dimension `dim`: the
+    /// histograms' shapes and every reference row's length, which
+    /// scoring would otherwise assert on.
+    pub(crate) fn check_shapes(&self, dim: usize) -> Result<(), String> {
+        if self.hist.has_shape(dim) && self.reference.iter().all(|r| r.len() == dim) {
+            Ok(())
+        } else {
+            Err(format!("detector histograms or reference rows are not {dim}-dimensional"))
+        }
+    }
 }
 
 /// The original histogram-based algorithm (paper's description of \[17\]):

@@ -13,7 +13,6 @@ use crate::bisage::{BiSage, TrainReport};
 use crate::config::GemConfig;
 use crate::detector::{Detection, EnhancedDetector};
 use crate::infer::{CacheStats, InferenceEngine};
-use crate::pca::PcaRotation;
 use crate::pipeline::Embedder;
 
 /// Adds a streamed record to the graph and initializes exactly the base
@@ -69,8 +68,6 @@ pub struct Gem {
     /// expansion, so they cannot redefine the premises structure.
     trusted: Vec<bool>,
     last_added: Option<RecordId>,
-    /// Optional principal-axis rotation applied before detection.
-    pca: Option<PcaRotation>,
     /// Tape-free streaming engine: scratch buffers only, nothing that
     /// outlives a call.
     engine: InferenceEngine,
@@ -136,13 +133,6 @@ impl Gem {
         for (i, row) in fit_rows.iter().enumerate() {
             fit_matrix.set_row(i, row);
         }
-        let pca = if cfg.pca_rotation {
-            let rotation = PcaRotation::fit(&fit_matrix);
-            fit_matrix = rotation.apply_matrix(&fit_matrix);
-            Some(rotation)
-        } else {
-            None
-        };
         let detector = if cfg.calibrate_thresholds {
             EnhancedDetector::fit_calibrated(
                 &fit_matrix,
@@ -172,7 +162,6 @@ impl Gem {
             train_report,
             trusted,
             last_added: None,
-            pca,
             engine: InferenceEngine::new(),
         }
     }
@@ -220,12 +209,7 @@ impl Gem {
             &targets,
             Some(&self.trusted),
         );
-        let rows: Vec<Vec<f32>> = (0..hs.rows())
-            .map(|i| match &self.pca {
-                Some(rotation) => rotation.apply(hs.row(i)),
-                None => hs.row(i).to_vec(),
-            })
-            .collect();
+        let rows: Vec<&[f32]> = (0..hs.rows()).map(|i| hs.row(i)).collect();
         let dets = self.detector.detect_batch(&rows);
         let mut k = 0usize;
         for rid in &rids {
@@ -238,7 +222,7 @@ impl Gem {
                 }),
                 Some(rid) => {
                     let det = dets[k];
-                    let updated = self.detector.update_if_confident(&rows[k], &det);
+                    let updated = self.detector.update_if_confident(rows[k], &det);
                     self.trusted[rid.0 as usize] = !det.is_outlier;
                     decisions.push(Decision {
                         label: if det.is_outlier { Label::Out } else { Label::In },
@@ -266,22 +250,12 @@ impl Gem {
             record,
         )?;
         self.last_added = Some(rid);
-        let h = self.engine.embed_record(&self.bisage, &self.graph, rid, Some(&self.trusted));
-        Some(match &self.pca {
-            Some(rotation) => rotation.apply(&h),
-            None => h,
-        })
+        Some(self.engine.embed_record(&self.bisage, &self.graph, rid, Some(&self.trusted)))
     }
 
     /// Stage 2: score + classify an embedding without mutating the model.
     pub fn detect_only(&self, h: &[f32]) -> Detection {
         self.detector.detect(h)
-    }
-
-    /// Stage 2 over many embeddings at once: the read-only detector fans
-    /// the batch across the worker pool; results keep input order.
-    pub fn detect_only_batch<S: AsRef<[f32]> + Sync>(&self, hs: &[S]) -> Vec<Detection> {
-        self.detector.detect_batch(hs)
     }
 
     /// Stage 3: absorb a highly confident in-premises embedding into the
@@ -327,11 +301,6 @@ impl Gem {
         &self.trusted
     }
 
-    /// The fitted PCA rotation, when `pca_rotation` is enabled.
-    pub fn pca(&self) -> Option<&PcaRotation> {
-        self.pca.as_ref()
-    }
-
     /// The online RNG's raw state. Snapshots persist it so a restored
     /// system resumes the *exact* random stream (row-init fallbacks
     /// during streaming draw from this generator; bitwise-identical
@@ -345,7 +314,6 @@ impl Gem {
     /// random stream mid-sequence; `None` (pre-v2 snapshots) restarts it
     /// from the config seed, which is only equivalent for systems that
     /// never consumed a draw since fit.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         cfg: GemConfig,
         graph: BipartiteGraph,
@@ -353,7 +321,6 @@ impl Gem {
         detector: EnhancedDetector,
         train_report: TrainReport,
         trusted: Vec<bool>,
-        pca: Option<PcaRotation>,
         rng_state: Option<[u64; 4]>,
     ) -> Gem {
         let rng = match rng_state {
@@ -369,7 +336,6 @@ impl Gem {
             train_report,
             trusted,
             last_added: None,
-            pca,
             engine: InferenceEngine::new(),
         }
     }

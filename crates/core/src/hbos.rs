@@ -67,6 +67,16 @@ impl HistogramModel {
         self.bins
     }
 
+    /// Whether these histograms score `dim`-dimensional samples: a check
+    /// for decoded models, whose shapes nothing else guarantees.
+    pub(crate) fn has_shape(&self, dim: usize) -> bool {
+        self.dim == dim
+            && self.bins >= 1
+            && self.mins.len() == dim
+            && self.maxs.len() == dim
+            && dim.checked_mul(self.bins) == Some(self.counts.len())
+    }
+
     /// Bin index for in-range values, clamping into the edge bins.
     fn bin_clamped(&self, j: usize, v: f32) -> usize {
         let lo = self.mins[j];

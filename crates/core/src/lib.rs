@@ -24,17 +24,15 @@ pub mod detector;
 pub mod gem;
 pub mod hbos;
 pub mod infer;
-pub mod pca;
 pub mod persist;
 pub mod pipeline;
 
-pub use bisage::{obs_step_recorder, Aggregator, BiSage, BiSageConfig, StepEvent};
+pub use bisage::{Aggregator, BiSage, BiSageConfig, StepEvent};
 pub use config::GemConfig;
 pub use detector::{BaselineHbos, Detection, EnhancedDetector};
 pub use gem::{Decision, Gem};
 pub use hbos::HistogramModel;
 pub use infer::{CacheStats, InferenceEngine};
-pub use pca::PcaRotation;
 pub use persist::{
     fnv1a64, fnv1a64_hex, FleetManifest, GemSnapshot, PersistError, PremisesEntry, MANIFEST_FILE,
 };

@@ -36,7 +36,6 @@ use crate::bisage::{BiSage, TrainReport};
 use crate::config::GemConfig;
 use crate::detector::EnhancedDetector;
 use crate::gem::Gem;
-use crate::pca::PcaRotation;
 
 /// Magic marker + version guard for snapshot files.
 const FORMAT: &str = "gem-snapshot";
@@ -46,7 +45,7 @@ const VERSION: u32 = 1;
 /// image is never mistaken for the JSON export (which opens with `{`).
 const IMAGE_MAGIC: [u8; 4] = *b"\x89GEM";
 /// Binary image layout version, checked before any field is decoded.
-const IMAGE_VERSION: u32 = 3;
+const IMAGE_VERSION: u32 = 4;
 
 /// A complete serialized GEM system.
 #[derive(Serialize, Deserialize)]
@@ -65,8 +64,6 @@ pub struct GemSnapshot {
     pub train_report: TrainReport,
     /// Per-record pseudo-label trust bits.
     pub trusted: Vec<bool>,
-    /// The fitted PCA rotation, when enabled.
-    pub pca: Option<PcaRotation>,
     /// Raw state of the online RNG at capture time. Restoring it resumes
     /// the exact random stream, which bitwise crash recovery depends on.
     /// Absent in snapshots written before this field existed; those
@@ -118,14 +115,14 @@ impl GemSnapshot {
             detector: gem.detector().clone(),
             train_report: gem.train_report().clone(),
             trusted: gem.trusted_records().to_vec(),
-            pca: gem.pca().cloned(),
             rng: Some(gem.rng_state()),
         }
     }
 
     /// Restores a runnable system. Fails when the snapshot is internally
     /// inconsistent (e.g. trust bits not matching the graph, or a tensor
-    /// whose shape disagrees with its data or the configuration).
+    /// or detector whose shape disagrees with its data or the
+    /// configuration).
     pub fn restore(self) -> Result<Gem, PersistError> {
         if self.format != FORMAT {
             return Err(PersistError::Incompatible(format!("format tag {:?}", self.format)));
@@ -143,20 +140,11 @@ impl GemSnapshot {
                 self.graph.n_records()
             )));
         }
-        if self.cfg.pca_rotation && self.pca.is_none() {
-            return Err(PersistError::Incompatible(
-                "config enables pca_rotation but the snapshot has no rotation".into(),
-            ));
-        }
         let dim = self.cfg.embedding_dim;
         self.bisage
             .check_shapes(dim, self.cfg.rounds, &self.graph)
+            .and_then(|()| self.detector.check_shapes(dim))
             .map_err(PersistError::Incompatible)?;
-        if self.pca.as_ref().is_some_and(|p| !p.has_dim(dim)) {
-            return Err(PersistError::Incompatible(format!(
-                "PCA rotation is not {dim}-dimensional"
-            )));
-        }
         Ok(Gem::from_parts(
             self.cfg,
             self.graph,
@@ -164,7 +152,6 @@ impl GemSnapshot {
             self.detector,
             self.train_report,
             self.trusted,
-            self.pca,
             self.rng,
         ))
     }
@@ -174,9 +161,21 @@ impl GemSnapshot {
         serde_json::to_string(self).map_err(|e| PersistError::Format(e.to_string()))
     }
 
-    /// Parses from a JSON string.
+    /// Parses from a JSON string. Keys this version no longer writes are
+    /// ignored, except a non-null `pca`: that export's detector was fit
+    /// on PCA-rotated embeddings, and serving it unrotated would change
+    /// its decisions.
     pub fn from_json(json: &str) -> Result<GemSnapshot, PersistError> {
-        serde_json::from_str(json).map_err(|e| PersistError::Format(e.to_string()))
+        let format = |e: serde::Error| PersistError::Format(e.to_string());
+        let tree = serde_json::parse(json).map_err(format)?;
+        let pca = tree.as_object().and_then(|fields| serde::get_field_opt(fields, "pca"));
+        if pca.is_some_and(|v| !matches!(v, serde_json::Value::Null)) {
+            return Err(PersistError::Incompatible(
+                "the detector was fit on PCA-rotated embeddings, which are no longer computed"
+                    .into(),
+            ));
+        }
+        GemSnapshot::deserialize(&tree).map_err(format)
     }
 
     /// Encodes the binary image: magic, codec version, fields.
@@ -482,8 +481,7 @@ mod tests {
 
     #[test]
     fn rejects_tensors_that_disagree_with_their_shape() {
-        let cfg = GemConfig { pca_rotation: true, ..GemConfig::default() };
-        let gem = Gem::fit(cfg, &dataset().train);
+        let (gem, _) = trained_gem();
         let json = GemSnapshot::capture(&gem).to_json().unwrap();
         assert!(GemSnapshot::from_json(&json).unwrap().restore().is_ok());
         // A `w_h[0]` whose declared rows are not its data's would panic
@@ -493,11 +491,17 @@ mod tests {
         let bad_rows = json.replace(w_h, "\"w_h\":[{\"rows\":1064,");
         // A configured dimension the tensors do not have.
         let bad_dim = json.replacen("\"embedding_dim\":32", "\"embedding_dim\":16", 1);
-        // A PCA basis with a row too many.
-        let basis = "\"basis\":{\"rows\":32,";
-        assert_eq!(json.matches(basis).count(), 1);
-        let bad_basis = json.replace(basis, "\"basis\":{\"rows\":33,");
-        for bad in [bad_rows, bad_dim, bad_basis] {
+        // Detector state one value short: a reference row would panic
+        // the first re-anchor, a range the first score.
+        let drop_first_value = |key: &str| {
+            assert_eq!(json.matches(key).count(), 1, "{key}");
+            let at = json.find(key).unwrap() + key.len();
+            let comma = at + json[at..].find(',').unwrap();
+            format!("{}{}", &json[..at], &json[comma + 1..])
+        };
+        let short_reference = drop_first_value("\"reference\":[[");
+        let short_mins = drop_first_value("\"mins\":[");
+        for bad in [bad_rows, bad_dim, short_reference, short_mins] {
             let snap = GemSnapshot::from_json(&bad).unwrap();
             assert!(matches!(snap.restore(), Err(PersistError::Incompatible(_))));
         }
@@ -645,33 +649,52 @@ mod tests {
             assert_eq!(back.to_image(), image);
         }
         // A JSON export written before the `fused_kernels` flags, the
-        // `min_mac_degree` knobs, the provisional row bits and the
-        // training-embedding copy were removed still loads: its extra
-        // keys are ignored.
+        // `min_mac_degree` knobs, the provisional row bits, the
+        // training-embedding copy and the PCA rotation were removed still
+        // loads: its extra keys are ignored.
         let legacy = json
             .replace("\"sparse_adam\":true", "\"sparse_adam\":true,\"fused_kernels\":true")
             .replace(
                 "\"inference_cap\":48",
                 "\"inference_cap\":48,\"min_mac_degree\":18446744073709551615",
             )
+            .replace("\"augment_anchors\":5", "\"augment_anchors\":5,\"pca_rotation\":false")
             .replace(",\"macs_at_fit\":", ",\"provisional\":[false,true],\"macs_at_fit\":")
             .replace(
                 ",\"trusted\":[",
                 ",\"train_embeddings\":{\"rows\":1,\"cols\":2,\"data\":[0.5,-0.25]},\"trusted\":[",
-            );
+            )
+            .replace(",\"rng\":[", ",\"pca\":null,\"rng\":[");
         for (key, count) in [
             ("fused_kernels", 2),
             ("min_mac_degree", 2),
+            ("pca_rotation", 1),
             ("provisional", 1),
             ("train_embeddings", 1),
+            ("pca", 1),
         ] {
             assert_eq!(legacy.matches(&format!("\"{key}\":")).count(), count, "{key}");
         }
         assert_eq!(GemSnapshot::from_image(legacy.as_bytes()).unwrap().to_image(), image);
-        // Another layout version (versions 1 and 2, which carried fields
+        // An export that carries a rotation refuses: its detector was fit
+        // on rotated embeddings, so unrotated ones would change decisions.
+        let d = gem.cfg.embedding_dim;
+        let zeros = vec!["0.0"; d].join(",");
+        let identity: Vec<&str> =
+            (0..d * d).map(|i| if i % (d + 1) == 0 { "1.0" } else { "0.0" }).collect();
+        let rotation = format!(
+            "{{\"mean\":[{zeros}],\"basis\":{{\"rows\":{d},\"cols\":{d},\"data\":[{}]}},\"variances\":[{zeros}]}}",
+            identity.join(",")
+        );
+        let rotated = legacy.replace("\"pca\":null", &format!("\"pca\":{rotation}"));
+        assert!(matches!(
+            GemSnapshot::from_image(rotated.as_bytes()),
+            Err(PersistError::Incompatible(_))
+        ));
+        // Another layout version (versions 1 to 3, which carried fields
         // since removed, included), truncation, trailing bytes and unknown
         // leading bytes all refuse.
-        for version in [1, 2, IMAGE_VERSION + 1] {
+        for version in [1, 2, 3, IMAGE_VERSION + 1] {
             let mut wrong = image.clone();
             wrong[4..8].copy_from_slice(&u32::to_le_bytes(version));
             assert!(matches!(GemSnapshot::from_image(&wrong), Err(PersistError::Incompatible(_))));

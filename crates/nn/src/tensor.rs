@@ -58,12 +58,6 @@ impl Tensor {
         Tensor { rows, cols, data }
     }
 
-    /// A `1 × n` row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Tensor { rows: 1, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

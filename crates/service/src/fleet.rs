@@ -33,11 +33,10 @@
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 use gem_core::{FleetManifest, GemSnapshot, PersistError, PremisesEntry};
 use gem_obs::{Counter, Registry, SpanContext, SpanIdGen, TraceEvent, TraceRing};
@@ -190,7 +189,7 @@ struct Gate {
 struct IngressShard {
     /// The shard's ingress channel. Kept alive for the fleet's whole
     /// life; shutdown is signalled by `closed`, not by dropping it.
-    tx: Sender<ShardMsg>,
+    tx: SyncSender<ShardMsg>,
     /// Raised at shutdown *before* the `Close` message is sent. The
     /// submit path reserves `depth` first and checks this second, so
     /// `depth` doubles as an in-flight-submitter refcount the closing
@@ -401,7 +400,7 @@ pub struct Fleet {
     /// timer must never interleave their snapshot → commit → truncate
     /// windows.
     snapshot_lock: Arc<Mutex<()>>,
-    snapshot_timer: Option<(Sender<()>, JoinHandle<()>)>,
+    snapshot_timer: Option<(SyncSender<()>, JoinHandle<()>)>,
 }
 
 /// Rendezvous (highest-random-weight) shard choice: hash every
@@ -456,7 +455,7 @@ impl Fleet {
         // drains at least once per `queue_per_shard` admissions never
         // loses an event. Shards never block on this channel; overflow
         // is dropped and counted (`FleetStats::dropped_events`).
-        let (event_tx, event_rx) = bounded(2 * cfg.shards * cfg.queue_per_shard + 64);
+        let (event_tx, event_rx) = sync_channel(2 * cfg.shards * cfg.queue_per_shard + 64);
         let registry = Arc::new(Registry::new());
         let admission = AdmissionObs::register(&registry);
         let shard_admission: Vec<ShardAdmissionObs> =
@@ -483,7 +482,7 @@ impl Fleet {
         let mut ingress_shards = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.shards);
         for (id, mut seeds) in by_shard.into_iter().enumerate() {
-            let (tx, rx) = bounded(cfg.queue_per_shard * 2 + 64);
+            let (tx, rx) = sync_channel(cfg.queue_per_shard * 2 + 64);
             let depth = Arc::new(AtomicUsize::new(0));
             let inflight: HashMap<u64, Arc<AtomicUsize>> =
                 seeds.iter().map(|(p, _)| (*p, Arc::clone(&gates[p].inflight))).collect();
@@ -567,19 +566,20 @@ impl Fleet {
         let (Some(dir), Some(interval)) = (self.cfg.dir.clone(), self.cfg.snapshot_interval) else {
             return;
         };
-        let txs: Vec<Sender<ShardMsg>> = self.ingress.shards.iter().map(|s| s.tx.clone()).collect();
+        let txs: Vec<SyncSender<ShardMsg>> =
+            self.ingress.shards.iter().map(|s| s.tx.clone()).collect();
         let lock = Arc::clone(&self.snapshot_lock);
         let errors = Arc::clone(&self.snapshot_errors);
         let trace_obs = self.ingress.shard_obs[0].clone();
-        let (stop_tx, stop_rx) = bounded::<()>(1);
+        let (stop_tx, stop_rx) = sync_channel::<()>(1);
         let handle = thread::Builder::new()
             .name("gem-fleet-snapshots".into())
             .spawn(move || loop {
                 match stop_rx.recv_timeout(interval) {
                     // Timer stopped (or fleet gone): exit.
                     Ok(()) => return,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                    Err(RecvTimeoutError::Disconnected) => return,
+                    Err(RecvTimeoutError::Timeout) => {
                         // A failed periodic snapshot leaves the previous
                         // manifest + journal intact — recoverable, so
                         // not fatal — but never silent: counted
@@ -587,7 +587,7 @@ impl Fleet {
                         // in `FleetStats`) and traced on shard 0's ring.
                         // The lock keeps this window from interleaving
                         // with a user-initiated `Fleet::snapshot`.
-                        let guard = lock.lock().unwrap_or_else(|p| p.into_inner());
+                        let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
                         if let Err(e) = snapshot_all(&txs, &dir) {
                             errors.inc();
                             trace_obs.trace(
@@ -641,7 +641,7 @@ impl Fleet {
     /// from its own thread). Afterwards [`Fleet::events`] observes a
     /// disconnected channel; there is only ever one event stream.
     pub fn take_events(&mut self) -> Receiver<FleetEvent> {
-        let (_, dead_rx) = bounded::<FleetEvent>(1);
+        let (_, dead_rx) = sync_channel::<FleetEvent>(1);
         std::mem::replace(&mut self.event_rx, dead_rx)
     }
 
@@ -716,7 +716,7 @@ impl Fleet {
     pub fn flush(&self) -> Result<(), FleetError> {
         let mut acks = Vec::with_capacity(self.ingress.shards.len());
         for shard in &self.ingress.shards {
-            let (ack_tx, ack_rx) = bounded(1);
+            let (ack_tx, ack_rx) = sync_channel(1);
             shard
                 .tx
                 .send(ShardMsg::Flush { ack: ack_tx })
@@ -741,8 +741,9 @@ impl Fleet {
             self.cfg.dir.as_ref().ok_or_else(|| {
                 FleetError::Shard("snapshot requires a durability directory".into())
             })?;
-        let txs: Vec<Sender<ShardMsg>> = self.ingress.shards.iter().map(|s| s.tx.clone()).collect();
-        let _guard = self.snapshot_lock.lock().unwrap_or_else(|p| p.into_inner());
+        let txs: Vec<SyncSender<ShardMsg>> =
+            self.ingress.shards.iter().map(|s| s.tx.clone()).collect();
+        let _guard = self.snapshot_lock.lock().unwrap_or_else(PoisonError::into_inner);
         snapshot_all(&txs, dir)
     }
 
@@ -752,7 +753,7 @@ impl Fleet {
     pub fn stats(&self) -> Result<Vec<(u64, MonitorStats)>, FleetError> {
         let mut acks = Vec::with_capacity(self.ingress.shards.len());
         for shard in &self.ingress.shards {
-            let (ack_tx, ack_rx) = bounded(1);
+            let (ack_tx, ack_rx) = sync_channel(1);
             shard
                 .tx
                 .send(ShardMsg::Stats { ack: ack_tx })
@@ -851,7 +852,7 @@ impl Fleet {
         // Disconnect the event channel so late notifications from the
         // closing shards are discarded (not mis-counted as consumer
         // overflow); shards use try_send, so they can't wedge on it.
-        let (_, dead_rx) = bounded::<FleetEvent>(1);
+        let (_, dead_rx) = sync_channel::<FleetEvent>(1);
         self.event_rx = dead_rx;
         for shard in &self.ingress.shards {
             // Raise `closed` first: a submitter that reserved depth
@@ -1001,11 +1002,11 @@ impl Drop for Fleet {
 /// manifest rename is the commit, and truncation prunes only epochs at
 /// or below the watermarks the round captured — an epoch decided while
 /// the round runs journals past them and replays on recovery.
-fn snapshot_all(txs: &[Sender<ShardMsg>], dir: &PathBuf) -> Result<(), FleetError> {
+fn snapshot_all(txs: &[SyncSender<ShardMsg>], dir: &PathBuf) -> Result<(), FleetError> {
     let gone = |_| FleetError::Shard("shard gone during snapshot".into());
     let mut acks = Vec::with_capacity(txs.len());
     for tx in txs {
-        let (ack_tx, ack_rx) = bounded(1);
+        let (ack_tx, ack_rx) = sync_channel(1);
         tx.send(ShardMsg::Snapshot { dir: dir.clone(), ack: ack_tx }).map_err(gone)?;
         acks.push(ack_rx);
     }

@@ -39,13 +39,12 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use gem_obs::{SpanContext, TraceEvent};
-use parking_lot::Mutex;
 
 use crate::fleet::{Admission, Fleet, FleetSubmitter};
 use crate::monitor::Event;
@@ -88,11 +87,19 @@ impl ConnWriter {
     fn send(&self, frame: &Frame, obs: &IngressObs) -> std::io::Result<()> {
         let mut buf = Vec::with_capacity(64);
         wire::encode(frame, &mut buf);
-        let mut stream = self.stream.lock();
+        let mut stream = lock(&self.stream);
         stream.write_all(&buf)?;
         obs.bytes_tx.add(buf.len() as u64);
         Ok(())
     }
+}
+
+/// Locks `m`, absorbing poison: a thread that panicked while holding
+/// one of the ingress' locks must not wedge every other connection.
+/// Each critical section is whole map or vector operations or one
+/// `write_all`, so a panicking holder leaves the data valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// State shared by the accept loop, the router, and every connection.
@@ -165,13 +172,13 @@ impl IngressServer {
                     }
                     let conn_id = next_conn.fetch_add(1, Ordering::Relaxed);
                     if let Ok(clone) = stream.try_clone() {
-                        shared.conns.lock().insert(conn_id, clone);
+                        lock(&shared.conns).insert(conn_id, clone);
                     }
                     let shared2 = Arc::clone(&shared);
                     let spawned = std::thread::Builder::new()
                         .name(format!("gem-ingress-conn-{conn_id}"))
                         .spawn(move || handle_conn(&shared2, stream, conn_id));
-                    let mut threads = conn_threads.lock();
+                    let mut threads = lock(&conn_threads);
                     // Reap finished readers so a long-lived listener
                     // doesn't accumulate dead handles.
                     let mut live = Vec::with_capacity(threads.len() + 1);
@@ -205,13 +212,13 @@ impl Drop for IngressServer {
         let _ = TcpStream::connect(self.addr);
         // Knock every live connection loose; their readers exit on the
         // resulting error/EOF.
-        for (_, stream) in self.shared.conns.lock().iter() {
+        for (_, stream) in lock(&self.shared.conns).iter() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for h in self.conn_threads.lock().drain(..) {
+        for h in lock(&self.conn_threads).drain(..) {
             let _ = h.join();
         }
         if let Some(h) = self.router.take() {
@@ -252,7 +259,7 @@ fn route_events(shared: &Shared, events: &Receiver<FleetEvent>) {
                 Frame::Alert { premises_id, raised: false, timestamp_s, consecutive_out: 0 }
             }
         };
-        let writer = shared.routes.lock().get(&premises_id).cloned();
+        let writer = lock(&shared.routes).get(&premises_id).cloned();
         match writer {
             Some(writer) => {
                 let t = Instant::now();
@@ -300,7 +307,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream, conn_id: u64) {
     }
     // Release every premises this connection owned and forget the
     // socket clone.
-    let writer_gone = shared.conns.lock().remove(&conn_id);
+    let writer_gone = lock(&shared.conns).remove(&conn_id);
     drop(writer_gone);
     shared.obs.connections_open.add(-1);
 }
@@ -335,7 +342,7 @@ fn serve_conn(shared: &Shared, stream: TcpStream) -> Option<&'static str> {
                 // matching only works with a single submitting
                 // connection per premises.
                 if !owned.contains(&premises_id) {
-                    let mut routes = shared.routes.lock();
+                    let mut routes = lock(&shared.routes);
                     if routes.contains_key(&premises_id) {
                         drop(routes);
                         shared.obs.busy_sheds.inc();
@@ -380,7 +387,7 @@ fn serve_conn(shared: &Shared, stream: TcpStream) -> Option<&'static str> {
         }
     };
     if !owned.is_empty() {
-        let mut routes = shared.routes.lock();
+        let mut routes = lock(&shared.routes);
         for premises in owned {
             routes.remove(&premises);
         }

@@ -39,10 +39,9 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
-
-use crossbeam::channel::{Receiver, Sender};
 
 use gem_core::{fnv1a64_hex, GemSnapshot, PremisesEntry};
 use gem_obs::{SpanContext, TraceEvent};
@@ -193,7 +192,7 @@ pub(crate) enum ShardMsg {
     Resume,
     /// Drain every pending record (even while paused), then ack.
     Flush {
-        ack: Sender<()>,
+        ack: SyncSender<()>,
     },
     /// Incrementally snapshot into `dir` — premises dirty since their
     /// last stored image get fresh files, unsynced spill files get their
@@ -203,7 +202,7 @@ pub(crate) enum ShardMsg {
     /// snapshot simply journal at epochs past the captured watermarks.
     Snapshot {
         dir: PathBuf,
-        ack: Sender<Result<Vec<PremisesEntry>, String>>,
+        ack: SyncSender<Result<Vec<PremisesEntry>, String>>,
     },
     /// Prune the journal entries folded into the last committed
     /// manifest. Only sent after a manifest commit; epochs decided after
@@ -213,7 +212,7 @@ pub(crate) enum ShardMsg {
     /// interleave.
     TruncateJournal,
     Stats {
-        ack: Sender<Vec<(u64, MonitorStats)>>,
+        ack: SyncSender<Vec<(u64, MonitorStats)>>,
     },
     /// Graceful shutdown: decide every admitted record, then exit. The
     /// ingress gate's `closed` flag is raised *before* this message is
@@ -264,7 +263,7 @@ struct Session {
 pub(crate) struct ShardWorker {
     id: usize,
     rx: Receiver<ShardMsg>,
-    event_tx: Sender<FleetEvent>,
+    event_tx: SyncSender<FleetEvent>,
     sessions: HashMap<u64, Session>,
     /// All premises ids, sorted — the deterministic snapshot/stats
     /// iteration order.
@@ -330,7 +329,7 @@ struct SnapshotJob {
     cursor: usize,
     entries: Vec<PremisesEntry>,
     sync_budget: usize,
-    ack: Sender<Result<Vec<PremisesEntry>, String>>,
+    ack: SyncSender<Result<Vec<PremisesEntry>, String>>,
     started: Instant,
 }
 
@@ -339,7 +338,7 @@ impl ShardWorker {
     pub(crate) fn new(
         id: usize,
         rx: Receiver<ShardMsg>,
-        event_tx: Sender<FleetEvent>,
+        event_tx: SyncSender<FleetEvent>,
         seeds: Vec<(u64, PremisesSeed)>,
         max_batch: usize,
         dir: Option<&PathBuf>,
@@ -441,8 +440,8 @@ impl ShardWorker {
                             break 'outer;
                         }
                     }
-                    Err(crossbeam::channel::TryRecvError::Empty) => break,
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
                         self.closing = true;
                         break;
                     }
@@ -479,10 +478,10 @@ impl ShardWorker {
                             break 'outer;
                         }
                     }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Timeout) => {}
                     // No sender left: the reserved depth can never turn
                     // into a record.
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'outer,
+                    Err(RecvTimeoutError::Disconnected) => break 'outer,
                 }
                 continue;
             }
@@ -804,10 +803,10 @@ impl ShardWorker {
                     trace,
                 }) {
                     Ok(()) => {}
-                    Err(crossbeam::channel::TrySendError::Full(_)) => {
+                    Err(TrySendError::Full(_)) => {
                         self.obs.dropped_events.inc();
                     }
-                    Err(crossbeam::channel::TrySendError::Disconnected(_)) => {}
+                    Err(TrySendError::Disconnected(_)) => {}
                 }
             }
             if let Some(start) = epoch_start {

@@ -177,7 +177,6 @@ fn fit_streamed() -> (Gem, Vec<SignalRecord>) {
         embedding_dim: 4,
         epochs: 1,
         augment_passes: 0,
-        pca_rotation: true,
         num_threads: 1,
         ..GemConfig::default()
     };
@@ -210,7 +209,6 @@ fn snapshot_images_round_trip_bitwise_with_edge_floats() {
     assert_eq!(back.detector.temperature.to_bits(), 0x7ff8_dead_beef_0001);
     // Empty collections survive too.
     snap.train_report.epoch_losses.clear();
-    snap.pca = None;
     snap.rng = None;
     let image = snap.to_image();
     assert_eq!(GemSnapshot::from_image(&image).unwrap().to_image(), image);

@@ -6,8 +6,6 @@
 //! from spot to spot and over time — which is the core data-representation
 //! problem the paper addresses.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::mac::MacAddr;
@@ -205,17 +203,6 @@ impl RecordSet {
         macs.sort_unstable();
         macs.dedup();
         macs
-    }
-
-    /// Per-MAC observation counts.
-    pub fn mac_counts(&self) -> BTreeMap<MacAddr, usize> {
-        let mut counts = BTreeMap::new();
-        for rec in &self.records {
-            for mac in rec.macs() {
-                *counts.entry(mac).or_insert(0) += 1;
-            }
-        }
-        counts
     }
 
     /// Mean and standard deviation of every RSS reading in the set, plus

@@ -19,8 +19,10 @@
 //! budget of the training loop: a counting global allocator is windowed
 //! around each optimizer step group (`BiSage::fit_instrumented`), and
 //! the JSON line gains `allocs_per_step_seq` / `allocs_per_step_pool`
-//! (median heap calls per post-warm-up step — the arena-tape sequential
-//! path targets exactly 0) plus `peak_bytes` for the sequential fit.
+//! (median heap calls per post-warm-up step) plus `peak_bytes` for the
+//! sequential fit. The sequential fit runs under `gem_par::thread_cap(1)`,
+//! where every parallel region runs inline on the arena tape; the run
+//! fails unless it allocates exactly 0 times per step.
 //!
 //! `GEM_BENCH_QUICK=1` shrinks criterion sampling for CI smoke runs.
 
@@ -50,14 +52,13 @@ fn cluster_graph(n: u64) -> BipartiteGraph {
     g
 }
 
-fn fit_cfg(num_threads: usize) -> BiSageConfig {
+fn fit_cfg() -> BiSageConfig {
     BiSageConfig {
         dim: 32,
         epochs: 1,
         batch_size: 128,
         sample_sizes: vec![8, 4],
         grad_accum: 4,
-        num_threads,
         ..BiSageConfig::default()
     }
 }
@@ -141,7 +142,7 @@ fn bench_kernels(c: &mut Criterion) {
 /// Positive pairs one `fit()` call consumes under `fit_cfg` (deterministic
 /// for a fixed graph and seed).
 fn pairs_per_fit(graph: &BipartiteGraph) -> usize {
-    let mut model = BiSage::new(fit_cfg(1));
+    let mut model = BiSage::new(fit_cfg());
     model.fit(graph).pairs_seen
 }
 
@@ -150,14 +151,15 @@ fn bench_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("bisage_fit");
     group.sample_size(10);
     group.bench_function("fit_200_records_seq", |bch| {
+        let _cap = gem_par::thread_cap(1);
         bch.iter(|| {
-            let mut model = BiSage::new(fit_cfg(1));
+            let mut model = BiSage::new(fit_cfg());
             black_box(model.fit(black_box(&graph)))
         })
     });
     group.bench_function("fit_200_records_pool", |bch| {
         bch.iter(|| {
-            let mut model = BiSage::new(fit_cfg(0));
+            let mut model = BiSage::new(fit_cfg());
             black_box(model.fit(black_box(&graph)))
         })
     });
@@ -172,9 +174,8 @@ struct ThreadSweepLine {
     speedup: f64,
 }
 
-/// Pooled fit wall time at fixed thread caps. `fit_cfg(t)` routes the
-/// cap through `BiSageConfig::num_threads`, which the trainer applies
-/// with `gem_par::thread_cap` — the same mechanism callers use, so the
+/// Pooled fit wall time at fixed thread caps, each set with
+/// `gem_par::thread_cap` — the one width control callers have, so the
 /// sweep measures the real code path. On a machine whose pool has
 /// fewer workers than the cap, the extra threads simply don't exist
 /// and the curve flattens (the recorded `speedup` says so honestly).
@@ -183,9 +184,10 @@ fn sweep_threads(graph: &BipartiteGraph) -> Vec<ThreadSweepLine> {
     let mut lines: Vec<ThreadSweepLine> = Vec::new();
     let mut base_ns = f64::NAN;
     for &threads in &[1usize, 2, 4] {
+        let _cap = gem_par::thread_cap(threads);
         let mut samples: Vec<f64> = (0..iters)
             .map(|_| {
-                let mut model = BiSage::new(fit_cfg(threads));
+                let mut model = BiSage::new(fit_cfg());
                 let start = std::time::Instant::now();
                 black_box(model.fit(black_box(graph)));
                 start.elapsed().as_nanos() as f64
@@ -201,17 +203,19 @@ fn sweep_threads(graph: &BipartiteGraph) -> Vec<ThreadSweepLine> {
     lines
 }
 
-/// Allocation audit of one instrumented fit: heap calls are windowed
-/// between `GroupStart` and `GroupEnd` (one optimizer step each); the
-/// first [`ALLOC_WARMUP_GROUPS`] windows warm the arenas, free-lists and
+/// Allocation audit of one instrumented fit on at most `threads` threads
+/// (`None`: the whole pool): heap calls are windowed between
+/// `GroupStart` and `GroupEnd` (one optimizer step each); the first
+/// [`ALLOC_WARMUP_GROUPS`] windows warm the arenas, free-lists and
 /// scratch buffers and are discarded, the rest are summarized by their
 /// median. Returns `None` unless built with `--features count-allocs`.
-fn measure_allocs(graph: &BipartiteGraph, num_threads: usize) -> Option<(u64, u64)> {
+fn measure_allocs(graph: &BipartiteGraph, threads: Option<usize>) -> Option<(u64, u64)> {
     const ALLOC_WARMUP_GROUPS: usize = 3;
     if !allocs::ENABLED {
         return None;
     }
-    let mut model = BiSage::new(fit_cfg(num_threads));
+    let _cap = threads.map(gem_par::thread_cap);
+    let mut model = BiSage::new(fit_cfg());
     let mut mark = 0u64;
     let mut per_group: Vec<u64> = Vec::new();
     allocs::reset();
@@ -223,7 +227,7 @@ fn measure_allocs(graph: &BipartiteGraph, num_threads: usize) -> Option<(u64, u6
     let mut steady = per_group.split_off(ALLOC_WARMUP_GROUPS.min(per_group.len()));
     steady.sort_unstable();
     let median = steady.get(steady.len() / 2).copied().unwrap_or(0);
-    let label = if num_threads == 1 { "seq" } else { "pool" };
+    let label = if threads == Some(1) { "seq" } else { "pool" };
     println!(
         "allocs/step ({label}): median {median} over {} steady groups, peak {peak} bytes",
         steady.len(),
@@ -263,7 +267,8 @@ struct TrainBenchLine {
     /// speedup of each over the 1-thread run.
     thread_sweep: Vec<ThreadSweepLine>,
     /// Median heap calls per post-warm-up optimizer step, sequential
-    /// fit; `null` unless built with `--features count-allocs`.
+    /// fit; `null` unless built with `--features count-allocs`, and
+    /// gated at 0 when it is.
     allocs_per_step_seq: Option<u64>,
     /// Same audit with the worker pool (job dispatch boxes closures, so
     /// this one is small-but-nonzero by design).
@@ -384,8 +389,11 @@ fn main() {
             .expect("sweep covers 4 threads");
         assert!(s4 >= 1.8, "4-thread fit speedup {s4:.2}x below the 1.8x scaling gate");
     }
-    let seq_audit = measure_allocs(&graph, 1);
-    let pool_audit = measure_allocs(&graph, 0);
+    let seq_audit = measure_allocs(&graph, Some(1));
+    if let Some((per_step, _)) = seq_audit {
+        assert_eq!(per_step, 0, "the sequential fit allocated {per_step} times per warm step");
+    }
+    let pool_audit = measure_allocs(&graph, None);
     c.final_summary();
     append_results(&c, pairs, sweep, seq_audit, pool_audit);
 }

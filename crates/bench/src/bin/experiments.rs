@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use gem_baselines::{Autoencoder, AutoencoderConfig, DeepSvdd, DeepSvddConfig};
+use gem_bench::algos::CONTAMINATION;
 use gem_bench::harness::eval_stream;
 use gem_bench::{
     eval_dataset, eval_gem, evaluation_users, lab_scenario, run_algorithm, Algorithm, Harness,
@@ -408,7 +409,7 @@ fn fig8(h: &Harness) {
         cfg.calibrate_keep_in,
         cfg.calibrate_confident,
     );
-    let mut baseline = BaselineHbos::fit(&train_embs, cfg.bins, cfg.contamination as f64);
+    let mut baseline = BaselineHbos::fit(&train_embs, cfg.bins, CONTAMINATION);
 
     let mut enh_scores: Vec<(f64, bool)> = Vec::new();
     let mut base_scores: Vec<(f64, bool)> = Vec::new();

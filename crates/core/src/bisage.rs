@@ -41,8 +41,11 @@ pub enum Aggregator {
     Mean,
 }
 
-/// Hyperparameters of the embedding algorithm.
-#[derive(Clone, Debug, Serialize, serde::Deserialize)]
+/// Hyperparameters of the embedding algorithm. Nothing here decides how
+/// the work is spread over threads: training and inference give the same
+/// bits at any width, which `GEM_NUM_THREADS` and [`gem_par::thread_cap`]
+/// set for the whole process or one region.
+#[derive(Clone, Debug, PartialEq, Serialize, serde::Deserialize)]
 pub struct BiSageConfig {
     /// Embedding dimension `d`.
     pub dim: usize,
@@ -79,16 +82,6 @@ pub struct BiSageConfig {
     /// (exact Eq. 3); nodes with more neighbors than this cap keep only
     /// their top-cap heaviest edges.
     pub inference_cap: usize,
-    /// Worker threads for data-parallel training and batch inference:
-    /// `0` uses the process-global pool (all cores, or
-    /// `GEM_NUM_THREADS`), `1` forces the sequential path on the
-    /// caller thread, and any other value caps the pool to that many
-    /// threads via [`gem_par::thread_cap`]. The result is bit-identical
-    /// for every setting — each minibatch chunk derives its own RNG from
-    /// `(seed, epoch, chunk_idx)` and chunk gradients are reduced with a
-    /// fixed merge tree over chunk indices, so thread count never
-    /// touches the arithmetic.
-    pub num_threads: usize,
     /// Minibatch chunks whose gradients are averaged into one optimizer
     /// step. Every chunk of a group is computed against the same
     /// parameter snapshot — that independence is what makes the chunks
@@ -123,7 +116,6 @@ impl Default for BiSageConfig {
             uniform_sampling: false,
             typed_negatives: false,
             inference_cap: 48,
-            num_threads: 0,
             grad_accum: 2,
             sparse_adam: true,
             seed: 42,
@@ -141,15 +133,15 @@ impl Default for BiSageConfig {
 /// [`BiSage::build_tree_into`] rebuilds a tree in place, reclaiming each
 /// `Arc` once the previous step's tape has released it.
 #[derive(Default)]
-pub(crate) struct Tree {
-    pub(crate) layers: Vec<Vec<NodeId>>,
+struct Tree {
+    layers: Vec<Vec<NodeId>>,
     /// Per depth `d`: segment offsets into `layers[d+1]` (+ end sentinel).
-    pub(crate) offsets: Vec<Arc<Vec<u32>>>,
+    offsets: Vec<Arc<Vec<u32>>>,
     /// Per depth `d`: aggregation weight of each `layers[d+1]` node,
     /// normalized within its segment.
-    pub(crate) weights: Vec<Arc<Vec<f32>>>,
+    weights: Vec<Arc<Vec<f32>>>,
     /// Per layer: base-table row of each node (the gather indices).
-    pub(crate) row_idx: Vec<Arc<Vec<u32>>>,
+    row_idx: Vec<Arc<Vec<u32>>>,
 }
 
 /// Unique access to an `Arc`-shared buffer for in-place reuse: reclaims
@@ -260,25 +252,20 @@ impl BiSage {
         self.initialized.resize(rows, false);
     }
 
-    /// Checks a decoded model against the embedding dimension and round
-    /// count it must serve and the graph it must cover: every tensor's
-    /// shape agrees with its data and with `dim`/`rounds`, and the base
-    /// tables hold a row for every node of `graph`.
-    pub(crate) fn check_shapes(
-        &self,
-        dim: usize,
-        rounds: usize,
-        graph: &BipartiteGraph,
-    ) -> Result<(), String> {
+    /// Checks a decoded model against its own configuration and the graph
+    /// it must cover: every tensor's shape agrees with its data and with
+    /// the configured dimension and round count, and the base tables hold
+    /// a row for every node of `graph`.
+    pub(crate) fn check_shapes(&self, graph: &BipartiteGraph) -> Result<(), String> {
+        let (dim, rounds) = (self.cfg.dim, self.cfg.rounds);
         let fits = |t: &Tensor, rows: usize| {
             t.shape() == (rows, dim) && rows.checked_mul(dim) == Some(t.len())
         };
         let rows = 2 * graph.n_records().max(graph.n_macs());
         let table_rows = self.initialized.len();
-        let ok = (self.cfg.dim, self.cfg.rounds) == (dim, rounds)
-            && [&self.w_h, &self.w_l]
-                .iter()
-                .all(|ws| ws.len() == rounds && ws.iter().all(|w| fits(w, dim.saturating_mul(2))))
+        let ok = [&self.w_h, &self.w_l]
+            .iter()
+            .all(|ws| ws.len() == rounds && ws.iter().all(|w| fits(w, dim.saturating_mul(2))))
             && table_rows >= rows
             && fits(&self.base_h, table_rows)
             && fits(&self.base_l, table_rows);
@@ -464,40 +451,11 @@ impl BiSage {
         self.initialized[row] = true;
     }
 
-    /// Collects a node's neighborhood for one tree level: a weighted
-    /// random sample during training, or (deterministically) the full
-    /// neighborhood — truncated to the top-`cap` heaviest edges — at
-    /// inference time.
-    fn neighborhood(
-        &self,
-        graph: &BipartiteGraph,
-        node: NodeId,
-        sample_size: usize,
-        rng: Option<&mut StdRng>,
-        trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
-    ) -> Vec<(NodeId, f32)> {
-        match rng {
-            Some(rng) => {
-                if self.cfg.uniform_sampling {
-                    graph.sample_neighbors_uniform(node, sample_size, rng)
-                } else {
-                    graph.sample_neighbors(node, sample_size, rng)
-                }
-            }
-            None => {
-                let mut all = Vec::new();
-                self.neighborhood_into(graph, node, trusted, &mut all);
-                all
-            }
-        }
-    }
-
-    /// The deterministic (inference-time) branch of
-    /// [`BiSage::neighborhood`], writing into a caller-owned buffer so
-    /// the streaming engine can collect neighborhoods without
-    /// allocating. Semantics are identical to the allocating path:
-    /// fit-time-MAC / trusted-record filtering, raw-neighborhood
-    /// fallback, top-`inference_cap` truncation.
+    /// A node's deterministic inference-time neighborhood, written into
+    /// a caller-owned buffer so the streaming engine can collect it
+    /// without allocating: fit-time-MAC / trusted-record filtering,
+    /// raw-neighborhood fallback, then the top-`inference_cap` heaviest
+    /// edges.
     pub(crate) fn neighborhood_into(
         &self,
         graph: &BipartiteGraph,
@@ -539,25 +497,13 @@ impl BiSage {
         }
     }
 
-    fn build_tree(
-        &self,
-        graph: &BipartiteGraph,
-        targets: &[NodeId],
-        rng: Option<&mut StdRng>,
-        trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
-    ) -> Tree {
-        let mut tree = Tree::default();
-        let mut scratch = Vec::new();
-        self.build_tree_into(graph, targets, rng, trusted, &mut tree, &mut scratch);
-        tree
-    }
-
-    /// [`BiSage::build_tree`] into a reusable tree: every layer, offset,
-    /// weight, and row-index buffer is rebuilt in place (allocation-free
-    /// once warm), and `scratch` holds one node's sampled neighborhood at
-    /// a time on the training path. The RNG stream consumed is identical
-    /// to the allocating variant's.
-    pub(crate) fn build_tree_into(
+    /// Builds the neighborhood tree of `targets` in place: every layer,
+    /// offset, weight, and row-index buffer is reused (allocation-free
+    /// once warm on the training path, where `scratch` holds one node's
+    /// sampled neighborhood at a time). With an RNG each level is a
+    /// weighted (or uniform) random sample; without one it is each
+    /// node's capped full neighborhood, filtered by `trusted`.
+    fn build_tree_into(
         &self,
         graph: &BipartiteGraph,
         targets: &[NodeId],
@@ -566,8 +512,6 @@ impl BiSage {
         tree: &mut Tree,
         scratch: &mut Vec<(NodeId, f32)>,
     ) {
-        /// Below this many frontier nodes, fan-out overhead beats the win.
-        const PAR_THRESHOLD: usize = 32;
         let rounds = self.cfg.rounds;
         tree.layers.resize_with(rounds + 1, Vec::new);
         tree.offsets.resize_with(rounds, || Arc::new(Vec::new()));
@@ -623,20 +567,13 @@ impl BiSage {
                 // Inference: no RNG stream to preserve, so the per-node
                 // neighborhood collection — the expensive part:
                 // filtering, weighting, top-cap sorting — can fan out;
-                // segment assembly stays sequential either way.
+                // segment assembly stays sequential.
                 None => {
-                    let sampled: Vec<Vec<(NodeId, f32)>> =
-                        if self.cfg.num_threads != 1 && cur.len() >= PAR_THRESHOLD {
-                            let _cap = (self.cfg.num_threads > 1)
-                                .then(|| gem_par::thread_cap(self.cfg.num_threads));
-                            gem_par::par_map(cur, |&node| {
-                                self.neighborhood(graph, node, s, None, trusted)
-                            })
-                        } else {
-                            cur.iter()
-                                .map(|&node| self.neighborhood(graph, node, s, None, trusted))
-                                .collect()
-                        };
+                    let sampled = gem_par::par_map(cur, |&node| {
+                        let mut nbh = Vec::new();
+                        self.neighborhood_into(graph, node, trusted, &mut nbh);
+                        nbh
+                    });
                     for sampled in &sampled {
                         append_segment(sampled, next, offs, wts);
                     }
@@ -797,10 +734,6 @@ impl BiSage {
         // — forward/backward on thread-local arena tapes into per-chunk
         // persistent sinks. Phases 1 and 3 fan out over chunks.
         let group_len = self.cfg.grad_accum.max(1);
-        // `num_threads > 1` caps the pool for the duration of this fit;
-        // the guard composes with any cap the caller already holds.
-        let _cap = (self.cfg.num_threads > 1).then(|| gem_par::thread_cap(self.cfg.num_threads));
-        let parallel = self.cfg.num_threads != 1 && gem_par::effective_threads() > 1;
         // Per-chunk state persists across groups so warm steps reuse every
         // buffer; `plans` only grows (a shorter final group borrows a
         // prefix), so warmed buffers are never dropped early.
@@ -838,13 +771,7 @@ impl BiSage {
                     );
                     self.build_tree_into(graph, targets, Some(&mut rng), None, tree, scratch);
                 };
-                if parallel {
-                    gem_par::par_for_each_mut(active, plan_one);
-                } else {
-                    for (i, plan) in active.iter_mut().enumerate() {
-                        plan_one(i, plan);
-                    }
-                }
+                gem_par::par_for_each_mut(active, plan_one);
 
                 // Phase 2 — catch-up of the union of gathered base rows
                 // (deduplicated via a reusable bitmap; catch-up order is
@@ -872,17 +799,10 @@ impl BiSage {
                 }
 
                 // Phase 3 — compute, against the shared snapshot.
-                let compute_one = |i: usize, plan: &mut ChunkPlan| {
+                gem_par::par_for_each_mut(active, |i, plan| {
                     let ChunkPlan { tree, sink, loss, .. } = plan;
                     *loss = self.chunk_grads_planned(&store, &params, tree, group[i].len(), sink);
-                };
-                if parallel {
-                    gem_par::par_for_each_mut(active, compute_one);
-                } else {
-                    for (i, plan) in active.iter_mut().enumerate() {
-                        compute_one(i, plan);
-                    }
-                }
+                });
 
                 // Reduce with a fixed pairwise tree over chunk indices
                 // (stride doubling): the merge topology depends only on
@@ -899,19 +819,12 @@ impl BiSage {
                 }
                 let mut stride = 1;
                 while stride < active.len() {
-                    let merge_pair = |_i: usize, pair: &mut [ChunkPlan]| {
+                    gem_par::par_chunks_mut(active, 2 * stride, |_i, pair| {
                         if pair.len() > stride {
                             let (dst, src) = pair.split_at_mut(stride);
                             dst[0].sink.merge_from(&src[0].sink);
                         }
-                    };
-                    if parallel && active.len() > 2 * stride {
-                        gem_par::par_chunks_mut(active, 2 * stride, merge_pair);
-                    } else {
-                        for pair in active.chunks_mut(2 * stride) {
-                            merge_pair(0, pair);
-                        }
-                    }
+                    });
                     stride *= 2;
                 }
                 store.apply_grads(&active[0].sink, alpha);
@@ -951,11 +864,7 @@ impl BiSage {
         // reads only MAC rows, so all records compute in parallel before
         // any row is written.
         let recs: Vec<RecordId> = (0..graph.n_records() as u32).map(RecordId).collect();
-        let bases = if self.cfg.num_threads != 1 && recs.len() >= 32 {
-            gem_par::par_map(&recs, |&r| self.compute_record_base(graph, r))
-        } else {
-            recs.iter().map(|&r| self.compute_record_base(graph, r)).collect()
-        };
+        let bases = gem_par::par_map(&recs, |&r| self.compute_record_base(graph, r));
         for (&r, base) in recs.iter().zip(&bases) {
             if let Some((h, l)) = base {
                 self.apply_record_base(r, h, l);
@@ -1097,7 +1006,8 @@ impl BiSage {
         nodes: &[NodeId],
         trusted: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
     ) -> (Tensor, Tensor) {
-        let tree = self.build_tree(graph, nodes, None, trusted);
+        let mut tree = Tree::default();
+        self.build_tree_into(graph, nodes, None, trusted, &mut tree, &mut Vec::new());
         let mut g = Graph::new();
         let mut fs = ForwardScratch::default();
         let (h, l) = self.forward(&mut g, &tree, None, None, &mut fs);
@@ -1168,7 +1078,7 @@ struct ForwardScratch {
 
 /// Per-thread training scratch: the arena-backed tape, the forward-pass
 /// var stacks, and the `(b, kn)`-shaped selection/target buffers shared
-/// with the tape via `Arc`. Each pool worker (and the sequential path)
+/// with the tape via `Arc`. Each pool worker (and the calling thread)
 /// keeps its own copy, so no synchronization is involved and reuse cannot
 /// change results.
 struct StepBuffers {

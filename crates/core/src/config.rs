@@ -72,13 +72,6 @@ pub struct GemConfig {
     pub calibrate_keep_in: f64,
     /// Training-score quantile for the confident-update band `τ_l`.
     pub calibrate_confident: f64,
-    /// Contamination factor `γ` of the original histogram algorithm
-    /// (used by the non-enhanced baseline and ROC comparisons).
-    pub contamination: f32,
-    /// Worker threads for training and batch scoring: `0` = all cores
-    /// (or `GEM_NUM_THREADS`), `1` = sequential. Results are identical
-    /// for any value (see `BiSageConfig::num_threads`).
-    pub num_threads: usize,
     /// Minibatch chunks averaged into each optimizer step
     /// (see `BiSageConfig::grad_accum`).
     pub grad_accum: usize,
@@ -119,8 +112,6 @@ impl Default for GemConfig {
             calibrate_thresholds: true,
             calibrate_keep_in: 0.95,
             calibrate_confident: 0.70,
-            contamination: 0.05,
-            num_threads: 0,
             grad_accum: 2,
             sparse_adam: true,
             seed: 42,
@@ -147,7 +138,6 @@ impl GemConfig {
             uniform_sampling: self.uniform_sampling,
             typed_negatives: self.typed_negatives,
             inference_cap: self.inference_cap,
-            num_threads: self.num_threads,
             grad_accum: self.grad_accum,
             sparse_adam: self.sparse_adam,
             seed: self.seed,

@@ -21,17 +21,19 @@
 //!   round 1, the round-1 carrier `l¹` of each distinct MAC the targets
 //!   sighted (computed once however many targets share the MAC), and the
 //!   targets' round 2. Neighborhood collection fans out over `gem_par`
-//!   workers for large batches.
-//! - **Half-cone evaluation** for other depths. The layer-0 primary
-//!   output depends only on the `h` chain at even tree depths and the
-//!   `l` chain at odd depths, so the engine evaluates half of the tape's
-//!   `(chain, depth)` grid.
+//!   workers for batches of at least 32 when the next region can use
+//!   more than one thread ([`gem_par::effective_threads`]); otherwise it
+//!   runs through one reused buffer.
+//! - **K ≠ 2 runs on the tape.** Any other round count embeds through
+//!   [`crate::BiSage::embed_nodes_filtered`], the reference the
+//!   two-round evaluator is proptested against. No shipped
+//!   configuration selects it, so it keeps no scratch of its own.
 //!
-//! Every op is row- and element-independent, so the result is bitwise
-//! identical to the tape's. A batch admits the *whole target set* into
-//! neighborhood expansions (one filter for one tree), so it is bitwise
-//! identical to the tape run over the same target set, not to a sequence
-//! of single-record calls.
+//! Every op of the two-round evaluator is row- and element-independent,
+//! so the result is bitwise identical to the tape's. A batch admits the
+//! *whole target set* into neighborhood expansions (one filter for one
+//! tree), so it is bitwise identical to the tape run over the same
+//! target set, not to a sequence of single-record calls.
 //!
 //! Callers must keep base rows initialized (`ensure_rows*`) before
 //! embedding; the engine never mutates the model or the graph.
@@ -41,7 +43,7 @@ use gem_nn::kernels;
 use gem_nn::tape::Activation;
 use gem_nn::Tensor;
 
-use crate::bisage::{node_row, normalize_into, Aggregator, BiSage, Tree};
+use crate::bisage::{node_row, normalize_into, Aggregator, BiSage};
 
 /// Fan out neighborhood collection above this many items.
 const PAR_THRESHOLD: usize = 32;
@@ -88,11 +90,6 @@ pub struct InferenceEngine {
     h1: Tensor,
     l1: Tensor,
     out: Tensor,
-    // Half-cone tree path (rounds ≠ 2).
-    tree: Tree,
-    tree_scratch: Vec<(NodeId, f32)>,
-    cur: Vec<Tensor>,
-    next: Vec<Tensor>,
 }
 
 impl Default for InferenceEngine {
@@ -117,10 +114,6 @@ impl InferenceEngine {
             h1: Tensor::zeros(0, 0),
             l1: Tensor::zeros(0, 0),
             out: Tensor::zeros(0, 0),
-            tree: Tree::default(),
-            tree_scratch: Vec::new(),
-            cur: Vec::new(),
-            next: Vec::new(),
         }
     }
 
@@ -204,23 +197,12 @@ impl InferenceEngine {
                 self.forward_two_rounds(model, graph, records, wref);
             } else {
                 let nodes: Vec<NodeId> = records.iter().map(|&r| NodeId::Record(r)).collect();
-                model.build_tree_into(
-                    graph,
-                    &nodes,
-                    None,
-                    wref,
-                    &mut self.tree,
-                    &mut self.tree_scratch,
-                );
+                self.out = model.embed_nodes_filtered(graph, &nodes, wref).0;
             }
         }
         mark(&mut in_targets, records, false);
         self.in_targets = in_targets;
-        if model.cfg.rounds == 2 {
-            &self.out
-        } else {
-            self.forward_tree(model)
-        }
+        &self.out
     }
 
     /// The default two-round model into `self.out`:
@@ -238,7 +220,7 @@ impl InferenceEngine {
         let aggr = model.cfg.aggregator;
         let act = model.cfg.activation;
         let b = records.len();
-        let pooled = model.cfg.num_threads != 1 && b >= PAR_THRESHOLD && gem_par::num_threads() > 1;
+        let pooled = b >= PAR_THRESHOLD && gem_par::effective_threads() > 1;
         if self.mac_slot.len() < graph.n_macs() {
             self.mac_slot.resize(graph.n_macs(), NO_SLOT);
         }
@@ -312,57 +294,6 @@ impl InferenceEngine {
         for &mid in &self.macs {
             self.mac_slot[mid as usize] = NO_SLOT;
         }
-    }
-
-    /// Half-cone forward pass over `self.tree`: evaluates only the
-    /// `(chain, depth)` pairs the layer-0 primary output depends on —
-    /// `h` at even depths, `l` at odd — roughly halving the tape's work
-    /// while staying bitwise identical (every op is row-independent and
-    /// applied in the tape's order).
-    fn forward_tree(&mut self, model: &BiSage) -> &Tensor {
-        let k_rounds = model.cfg.rounds;
-        let d = model.cfg.dim;
-        if self.cur.len() < k_rounds + 1 {
-            self.cur.resize_with(k_rounds + 1, || Tensor::zeros(0, 0));
-            self.next.resize_with(k_rounds + 1, || Tensor::zeros(0, 0));
-        }
-        for dep in 0..=k_rounds {
-            let idx = &self.tree.row_idx[dep];
-            let table = if dep % 2 == 0 { &model.base_h } else { &model.base_l };
-            let t = &mut self.cur[dep];
-            t.reset_to(idx.len(), d);
-            for (i, &r) in idx.iter().enumerate() {
-                t.set_row(i, table.row(r as usize));
-            }
-        }
-        for round in 1..=k_rounds {
-            let depths = k_rounds - round;
-            for dep in 0..=depths {
-                let offs = &self.tree.offsets[dep];
-                let wts = &self.tree.weights[dep];
-                let n_seg = offs.len() - 1;
-                self.cat.reset_to(n_seg, 2 * d);
-                {
-                    let state = &self.cur[dep];
-                    let inp = &self.cur[dep + 1];
-                    for s in 0..n_seg {
-                        let row = self.cat.row_mut(s);
-                        row[..d].copy_from_slice(state.row(s));
-                        let (lo, hi) = (offs[s] as usize, offs[s + 1] as usize);
-                        for j in lo..hi {
-                            kernels::axpy(&mut row[d..], wts[j], inp.row(j));
-                        }
-                    }
-                }
-                let weight =
-                    if dep % 2 == 0 { &model.w_h[round - 1] } else { &model.w_l[round - 1] };
-                linear(&self.cat, weight, model.cfg.activation, &mut self.next[dep]);
-            }
-            for dep in 0..=depths {
-                std::mem::swap(&mut self.cur[dep], &mut self.next[dep]);
-            }
-        }
-        &self.cur[0]
     }
 }
 

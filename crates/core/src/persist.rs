@@ -45,7 +45,7 @@ const VERSION: u32 = 1;
 /// image is never mistaken for the JSON export (which opens with `{`).
 const IMAGE_MAGIC: [u8; 4] = *b"\x89GEM";
 /// Binary image layout version, checked before any field is decoded.
-const IMAGE_VERSION: u32 = 4;
+const IMAGE_VERSION: u32 = 5;
 
 /// A complete serialized GEM system.
 #[derive(Serialize, Deserialize)]
@@ -120,9 +120,10 @@ impl GemSnapshot {
     }
 
     /// Restores a runnable system. Fails when the snapshot is internally
-    /// inconsistent (e.g. trust bits not matching the graph, or a tensor
-    /// or detector whose shape disagrees with its data or the
-    /// configuration).
+    /// inconsistent: trust bits not matching the graph, a graph whose ids
+    /// do not resolve, a BiSAGE configuration that differs from the
+    /// system's or lacks one sample size per round, or a tensor or
+    /// detector whose shape disagrees with its data or the configuration.
     pub fn restore(self) -> Result<Gem, PersistError> {
         if self.format != FORMAT {
             return Err(PersistError::Incompatible(format!("format tag {:?}", self.format)));
@@ -140,10 +141,22 @@ impl GemSnapshot {
                 self.graph.n_records()
             )));
         }
-        let dim = self.cfg.embedding_dim;
-        self.bisage
-            .check_shapes(dim, self.cfg.rounds, &self.graph)
-            .and_then(|()| self.detector.check_shapes(dim))
+        if self.cfg.sample_sizes.len() != self.cfg.rounds {
+            return Err(PersistError::Incompatible(format!(
+                "{} sample sizes for {} rounds",
+                self.cfg.sample_sizes.len(),
+                self.cfg.rounds
+            )));
+        }
+        if self.bisage.cfg != self.cfg.bisage() {
+            return Err(PersistError::Incompatible(
+                "the BiSAGE model's configuration differs from the system's".into(),
+            ));
+        }
+        self.graph
+            .check_consistency()
+            .and_then(|()| self.bisage.check_shapes(&self.graph))
+            .and_then(|()| self.detector.check_shapes(self.cfg.embedding_dim))
             .map_err(PersistError::Incompatible)?;
         Ok(Gem::from_parts(
             self.cfg,
@@ -508,6 +521,54 @@ mod tests {
     }
 
     #[test]
+    fn rejects_dangling_graph_ids_and_disagreeing_configs() {
+        // Each tampered export below decodes. Restored, it would index
+        // past a table once a lookup reaches the bad id (a panic, which
+        // kills a shard thread when served) or serve another
+        // configuration than `gem info` prints.
+        let (gem, _) = trained_gem();
+        let json = GemSnapshot::capture(&gem).to_json().unwrap();
+        assert!(GemSnapshot::from_json(&json).unwrap().restore().is_ok());
+        let (records, macs) = (gem.graph().n_records(), gem.graph().n_macs());
+        // Replaces with `id` the value that follows `key` once `skip`
+        // comma-separated values are passed over.
+        let replace_id = |key: &str, skip: usize, id: usize| {
+            assert_eq!(json.matches(key).count(), 1, "{key}");
+            let mut at = json.find(key).unwrap() + key.len();
+            for _ in 0..skip {
+                at += json[at..].find(',').unwrap() + 1;
+            }
+            let end = at + json[at..].find([',', ']']).unwrap();
+            format!("{}{id}{}", &json[..at], &json[end..])
+        };
+        // MAC 0's first neighbour is a record past the record count.
+        let dangling_adjacency = replace_id("\"mac_adj\":[{\"nbrs\":[[", 0, records + 1000);
+        // The first indexed MAC maps to an id past `macs`.
+        let dangling_index = replace_id("\"mac_index\":[[", 1, macs + 7);
+        // One of the two configuration copies caps inference differently.
+        assert_eq!(json.matches("\"inference_cap\":48").count(), 2);
+        let split_cap = json.replacen("\"inference_cap\":48", "\"inference_cap\":47", 1);
+        // A K = 3 model with only two sample sizes (in both copies).
+        let ds = dataset();
+        let cfg3 = GemConfig {
+            embedding_dim: 8,
+            rounds: 3,
+            sample_sizes: vec![10, 5, 3],
+            epochs: 1,
+            augment_passes: 0,
+            ..GemConfig::default()
+        };
+        let json3 = GemSnapshot::capture(&Gem::fit(cfg3, &ds.train)).to_json().unwrap();
+        assert!(GemSnapshot::from_json(&json3).unwrap().restore().is_ok());
+        assert_eq!(json3.matches("\"sample_sizes\":[10,5,3]").count(), 2);
+        let short_sizes = json3.replace("\"sample_sizes\":[10,5,3]", "\"sample_sizes\":[10,5]");
+        for bad in [dangling_adjacency, dangling_index, split_cap, short_sizes] {
+            let snap = GemSnapshot::from_json(&bad).unwrap();
+            assert!(matches!(snap.restore(), Err(PersistError::Incompatible(_))));
+        }
+    }
+
+    #[test]
     fn streamed_tables_hold_exactly_the_graph_rows() {
         let (mut gem, ds) = trained_gem();
         let fitted = gem.graph().n_records();
@@ -650,13 +711,18 @@ mod tests {
         }
         // A JSON export written before the `fused_kernels` flags, the
         // `min_mac_degree` knobs, the provisional row bits, the
-        // training-embedding copy and the PCA rotation were removed still
-        // loads: its extra keys are ignored.
+        // training-embedding copy, the PCA rotation, the `num_threads`
+        // knobs and `contamination` were removed still loads: its extra
+        // keys are ignored.
         let legacy = json
             .replace("\"sparse_adam\":true", "\"sparse_adam\":true,\"fused_kernels\":true")
             .replace(
                 "\"inference_cap\":48",
-                "\"inference_cap\":48,\"min_mac_degree\":18446744073709551615",
+                "\"inference_cap\":48,\"min_mac_degree\":18446744073709551615,\"num_threads\":0",
+            )
+            .replace(
+                "\"calibrate_confident\":0.7",
+                "\"calibrate_confident\":0.7,\"contamination\":0.05000000074505806",
             )
             .replace("\"augment_anchors\":5", "\"augment_anchors\":5,\"pca_rotation\":false")
             .replace(",\"macs_at_fit\":", ",\"provisional\":[false,true],\"macs_at_fit\":")
@@ -668,6 +734,8 @@ mod tests {
         for (key, count) in [
             ("fused_kernels", 2),
             ("min_mac_degree", 2),
+            ("num_threads", 2),
+            ("contamination", 1),
             ("pca_rotation", 1),
             ("provisional", 1),
             ("train_embeddings", 1),
@@ -691,10 +759,10 @@ mod tests {
             GemSnapshot::from_image(rotated.as_bytes()),
             Err(PersistError::Incompatible(_))
         ));
-        // Another layout version (versions 1 to 3, which carried fields
+        // Another layout version (versions 1 to 4, which carried fields
         // since removed, included), truncation, trailing bytes and unknown
         // leading bytes all refuse.
-        for version in [1, 2, 3, IMAGE_VERSION + 1] {
+        for version in [1, 2, 3, 4, IMAGE_VERSION + 1] {
             let mut wrong = image.clone();
             wrong[4..8].copy_from_slice(&u32::to_le_bytes(version));
             assert!(matches!(GemSnapshot::from_image(&wrong), Err(PersistError::Incompatible(_))));

@@ -93,16 +93,21 @@ impl Strategy for ScenarioStrategy {
     }
 }
 
-/// Number of streamed targets in a [`WideStrategy`] scenario; they sight
-/// all 40 fit-time MACs between them.
-const WIDE_TARGETS: usize = 40;
+/// Clusters of ten MACs in a [`WideStrategy`] scenario.
+const WIDE_CLUSTERS: u64 = 8;
 
-/// Wide two-round scenario for the engine's worker-pool branches: four
-/// 10-MAC clusters, then `WIDE_TARGETS` streamed targets that between
-/// them sight every fit-time MAC, so both the targets and their distinct
-/// MACs reach the engine's fan-out threshold (32). Eight more streamed
-/// records with random trust bits are not targets, so the trust filter
-/// decides whether MAC expansions admit them.
+/// Number of streamed targets in a [`WideStrategy`] scenario; they sight
+/// all 80 fit-time MACs between them.
+const WIDE_TARGETS: usize = 80;
+
+/// Wide two-round scenario for the engine's worker-pool branches:
+/// `WIDE_CLUSTERS` 10-MAC clusters, then `WIDE_TARGETS` streamed targets
+/// that between them sight every fit-time MAC. Both the targets and
+/// their distinct MACs pass the engine's fan-out threshold (32) and
+/// gem-par's 64-item chunk floor, so on a pool of two or more threads
+/// both expansions really run on workers. Eight more streamed records
+/// with random trust bits are not targets, so the trust filter decides
+/// whether MAC expansions admit them.
 struct WideStrategy;
 
 impl Strategy for WideStrategy {
@@ -110,7 +115,7 @@ impl Strategy for WideStrategy {
 
     fn sample(&self, rng: &mut StdRng) -> Scenario {
         let mut records = Vec::new();
-        for cluster in 0..4u64 {
+        for cluster in 0..WIDE_CLUSTERS {
             for r in 0..5 {
                 // Each cluster's first record sights all ten MACs, so
                 // every MAC exists at fit time.
@@ -125,10 +130,11 @@ impl Strategy for WideStrategy {
         }
         let mut streamed = Vec::new();
         for i in 0..WIDE_TARGETS as u64 + 8 {
-            let cluster = i % 4;
-            // Target `i` always sights MAC `i / 4` of its cluster.
-            let mut rec =
-                vec![(1 + cluster * 10 + (i / 4) % 10, rng.random_range(-85.0..-40.0f32))];
+            let cluster = i % WIDE_CLUSTERS;
+            // Target `i` always sights MAC `i / WIDE_CLUSTERS` of its
+            // cluster.
+            let mac = 1 + cluster * 10 + (i / WIDE_CLUSTERS) % 10;
+            let mut rec = vec![(mac, rng.random_range(-85.0..-40.0f32))];
             for _ in 0..rng.random_range(0..3usize) {
                 let mac = 1 + cluster * 10 + rng.random_range(0..10u64);
                 if rec.iter().all(|&(m, _)| m != mac) {
@@ -250,9 +256,9 @@ proptest! {
         prop_assert_eq!(bits_of(got.data()), bits_of(want.data()), "batch diverged from tape");
     }
 
-    /// Batches wide enough for the worker pool: at least 32 targets over
-    /// at least 32 distinct fit-time MACs must still match the tape,
-    /// under the set-wrapped trust filter and unfiltered (the
+    /// Batches wide enough for the worker pool: more than 64 targets
+    /// over more than 64 distinct fit-time MACs must still match the
+    /// tape, under the set-wrapped trust filter and unfiltered (the
     /// `Gem::fit` augmentation call). Only a pool of more than one
     /// thread takes the pooled branches (CI's forced-pool step runs
     /// this with `GEM_NUM_THREADS=4`).
@@ -275,7 +281,7 @@ proptest! {
         }
         let sighted: std::collections::BTreeSet<u64> =
             s.streamed[..WIDE_TARGETS].iter().flatten().map(|&(m, _)| m).collect();
-        prop_assert!(sighted.len() >= 32, "only {} distinct MACs", sighted.len());
+        prop_assert!(sighted.len() > 64, "only {} distinct MACs", sighted.len());
 
         let mut engine = InferenceEngine::new();
         let got = engine.embed_records_batch(&model, &graph, &targets, Some(&trusted));

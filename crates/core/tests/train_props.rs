@@ -10,7 +10,9 @@
 //!    chunk's RNG from `(seed, epoch, chunk_idx)` and reduces chunk
 //!    gradients in fixed chunk order, so thread count never touches the
 //!    arithmetic — including on the arena-tape fast path, where each
-//!    worker reuses its own thread-local tape buffers.
+//!    worker reuses its own thread-local tape buffers. The width is set
+//!    the one way callers set it, with `gem_par::thread_cap`; a cap of
+//!    one runs every region inline on the calling thread.
 //!
 //! Both properties ride through the same machinery the benchmarks and
 //! the public `fit` use; nothing here is a test-only code path.
@@ -94,12 +96,13 @@ fn config(s: &Scenario) -> BiSageConfig {
     }
 }
 
-/// Train and return the final record embeddings as raw bit patterns.
-fn fit_bits(s: &Scenario, sparse_adam: bool, num_threads: usize) -> Vec<u32> {
+/// Train on at most `threads` threads (`None`: the whole pool) and
+/// return the final record embeddings as raw bit patterns.
+fn fit_bits(s: &Scenario, sparse_adam: bool, threads: Option<usize>) -> Vec<u32> {
+    let _cap = threads.map(gem_par::thread_cap);
     let g = build_graph(s);
     let mut cfg = config(s);
     cfg.sparse_adam = sparse_adam;
-    cfg.num_threads = num_threads;
     let mut model = BiSage::new(cfg);
     model.fit(&g);
     model.embed_all_records(&g).data().iter().map(|x| x.to_bits()).collect()
@@ -111,8 +114,8 @@ proptest! {
     /// Sparse (lazy) Adam must reproduce the dense trajectory exactly.
     #[test]
     fn sparse_adam_fit_is_bitwise_dense(s in ScenarioStrategy) {
-        let dense = fit_bits(&s, false, 1);
-        let sparse = fit_bits(&s, true, 1);
+        let dense = fit_bits(&s, false, Some(1));
+        let sparse = fit_bits(&s, true, Some(1));
         prop_assert_eq!(dense, sparse, "sparse Adam diverged from dense");
     }
 
@@ -120,8 +123,8 @@ proptest! {
     /// sparse Adam and arena tapes active (the default fast path).
     #[test]
     fn pooled_fit_is_bitwise_sequential(s in ScenarioStrategy) {
-        let seq = fit_bits(&s, true, 1);
-        let pooled = fit_bits(&s, true, 0);
+        let seq = fit_bits(&s, true, Some(1));
+        let pooled = fit_bits(&s, true, None);
         prop_assert_eq!(seq, pooled, "pooled fit diverged from sequential");
     }
 
@@ -132,10 +135,10 @@ proptest! {
     /// the tree a chunk's sink lands.
     #[test]
     fn capped_thread_counts_are_bitwise_sequential(s in ScenarioStrategy) {
-        let seq = fit_bits(&s, true, 1);
+        let seq = fit_bits(&s, true, Some(1));
         for threads in [2usize, 3] {
-            let capped = fit_bits(&s, true, threads);
-            prop_assert_eq!(&seq, &capped, "fit with num_threads={} diverged", threads);
+            let capped = fit_bits(&s, true, Some(threads));
+            prop_assert_eq!(&seq, &capped, "fit capped at {} threads diverged", threads);
         }
     }
 }

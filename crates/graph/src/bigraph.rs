@@ -362,6 +362,43 @@ impl BipartiteGraph {
     pub fn n_nodes(&self) -> usize {
         self.n_records() + self.n_macs()
     }
+
+    /// Checks a decoded graph against itself: `mac_index` and `macs` name
+    /// the same MACs under the same ids, there is one adjacency list per
+    /// MAC, and every adjacency entry names an existing node of the other
+    /// side and has its prefix sum. Graphs built with
+    /// [`BipartiteGraph::add_record`] always pass; a corrupt export may
+    /// not, and its first lookup of the bad id would panic.
+    pub fn check_consistency(&self) -> Result<(), String> {
+        let n_macs = self.macs.len();
+        if self.mac_adj.len() != n_macs || self.mac_index.len() != n_macs {
+            return Err(format!(
+                "{n_macs} MAC addresses, but {} indexed and {} adjacency lists",
+                self.mac_index.len(),
+                self.mac_adj.len()
+            ));
+        }
+        if let Some((mac, id)) =
+            self.mac_index.iter().find(|&(mac, id)| self.macs.get(id.0 as usize) != Some(mac))
+        {
+            return Err(format!("MAC {mac} is indexed as id {}, which holds another MAC", id.0));
+        }
+        let dangling = |adjs: &[Adjacency], bound: usize| {
+            adjs.iter().position(|a| {
+                a.cumw.len() != a.nbrs.len() || a.nbrs.iter().any(|&(t, _)| t as usize >= bound)
+            })
+        };
+        if let Some(r) = dangling(&self.record_adj, n_macs) {
+            return Err(format!("record {r}'s adjacency does not fit the {n_macs} MACs"));
+        }
+        if let Some(m) = dangling(&self.mac_adj, self.record_adj.len()) {
+            return Err(format!(
+                "MAC {m}'s adjacency does not fit the {} records",
+                self.record_adj.len()
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -499,5 +536,35 @@ mod tests {
         assert!(matches!(next, NodeId::Mac(_)));
         let back = g.walk_step(next, &mut rng).unwrap();
         assert_eq!(back, NodeId::Record(r));
+    }
+
+    #[test]
+    fn consistency_check_refuses_dangling_ids() {
+        let mut g = BipartiteGraph::new(WeightFn::default());
+        g.add_record(&rec(&[(1, -50.0), (2, -60.0)]));
+        g.add_record(&rec(&[(2, -55.0), (3, -70.0)]));
+        assert_eq!(g.check_consistency(), Ok(()));
+        let tampered = |edit: &dyn Fn(&mut BipartiteGraph)| {
+            let mut bad = g.clone();
+            edit(&mut bad);
+            bad.check_consistency()
+        };
+        assert!(tampered(&|b| b.mac_adj[0].nbrs[0].0 = 2).is_err());
+        assert!(tampered(&|b| b.record_adj[1].nbrs[1].0 = 3).is_err());
+        assert!(tampered(&|b| b.record_adj[0].cumw.clear()).is_err());
+        assert!(tampered(&|b| {
+            b.mac_index.insert(mac(2), MacId(3));
+        })
+        .is_err());
+        // Two MACs swapped in the index disagree with `macs`.
+        assert!(tampered(&|b| {
+            b.mac_index.insert(mac(1), MacId(1));
+            b.mac_index.insert(mac(2), MacId(0));
+        })
+        .is_err());
+        assert!(tampered(&|b| {
+            b.mac_index.remove(&mac(3));
+        })
+        .is_err());
     }
 }

@@ -19,9 +19,12 @@
 //! - Scoped execution: jobs may borrow from the caller's stack. A call
 //!   blocks until every job completes before returning, which makes the
 //!   lifetime erasure at the dispatch boundary sound.
-//! - Nested calls degrade to sequential execution on the calling worker
-//!   instead of deadlocking the pool; [`thread_cap`] bounds the threads
-//!   a region may use without resizing the pool.
+//! - One inline path: every combinator asks [`effective_threads`] once.
+//!   A region that cannot fan out (a cap of one, a one-thread pool, or a
+//!   nested call on a worker, which would otherwise deadlock the pool)
+//!   calls `f` on the calling thread in index order, with no task vector
+//!   and no boxing. [`thread_cap`] bounds the threads a region may
+//!   use without resizing the pool.
 //! - Panics in jobs are captured and propagated to the caller after all
 //!   jobs finish (no poisoned pool, no detached unwinding workers).
 
@@ -149,24 +152,21 @@ fn pool() -> &'static Pool {
 }
 
 /// Effective parallelism: `GEM_NUM_THREADS` if set and >= 1, else the
-/// machine's available parallelism.
+/// machine's available parallelism. Read once per process, like the
+/// pool it sizes, so that asking allocates nothing.
 pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("GEM_NUM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    default_threads()
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("GEM_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// True when called from inside a pool worker (nested parallel region).
-pub fn in_parallel_region() -> bool {
+fn in_parallel_region() -> bool {
     IN_WORKER.with(|f| f.get())
 }
 
@@ -190,8 +190,8 @@ impl Drop for ThreadCapGuard {
 /// only tighten: `thread_cap(4)` inside `thread_cap(2)` stays at 2.
 ///
 /// This is how callers ask for "exactly N threads" without resizing the
-/// global pool — the train bench's 1/2/4-thread sweep and
-/// `TrainConfig::num_threads` both use it.
+/// global pool: the train bench's 1/2/4-thread sweep and the
+/// seq-vs-pool determinism proptests use it.
 pub fn thread_cap(cap: usize) -> ThreadCapGuard {
     let cap = cap.max(1);
     let prev = THREAD_CAP.with(|c| {
@@ -202,10 +202,15 @@ pub fn thread_cap(cap: usize) -> ThreadCapGuard {
     ThreadCapGuard { prev }
 }
 
-/// Parallelism the next region on this thread will actually use:
-/// [`num_threads`] tightened by any active [`thread_cap`].
+/// Parallelism the next region on this thread will actually use, the
+/// caller included: [`num_threads`] tightened by any active
+/// [`thread_cap`], and 1 (the region runs inline) on a pool worker.
 pub fn effective_threads() -> usize {
-    THREAD_CAP.with(|c| c.get()).min(num_threads()).max(1)
+    if in_parallel_region() {
+        1
+    } else {
+        THREAD_CAP.with(|c| c.get()).min(num_threads())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -238,26 +243,17 @@ impl Latch {
     }
 }
 
-/// Run `tasks.len()` closures to completion, using pool workers plus the
-/// calling thread. Blocks until every task has finished. Propagates the
-/// first panic (by task index) after all tasks complete.
+/// Run `tasks.len()` closures to completion, using up to `width - 1`
+/// pool workers plus the calling thread. Blocks until every task has
+/// finished. Propagates the first panic (by task index) after all tasks
+/// complete. Only regions that fan out get here: callers run inline when
+/// [`effective_threads`] is 1 or when there is a single task.
 ///
 /// Tasks are `FnOnce` closures that may borrow the caller's stack: the
 /// blocking barrier is what makes the `'static` transmute sound.
-fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
+fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>, width: usize) {
     let n = tasks.len();
-    if n == 0 {
-        return;
-    }
-    let allowed = effective_threads();
-    let sequential = n == 1 || allowed == 1 || in_parallel_region() || pool().workers == 0;
-    if sequential {
-        for task in tasks {
-            task();
-        }
-        return;
-    }
-
+    debug_assert!(n > 1 && width > 1, "an inline region reached the pool");
     let latch = Latch::new(n);
     let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
 
@@ -292,7 +288,7 @@ fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
             cursor: AtomicUsize::new(0),
             // The caller participates without a seat; workers take the
             // rest, bounded by the active thread cap.
-            seats: AtomicUsize::new(allowed.saturating_sub(1).min(pool().workers)),
+            seats: AtomicUsize::new(width.saturating_sub(1).min(pool().workers)),
         });
         {
             let mut q = pool().shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -334,10 +330,14 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 /// Parallel indexed map preserving input order.
 pub fn par_map_indexed<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
     let n = items.len();
+    let width = effective_threads();
+    let chunk = chunk_size(n, width);
+    if n <= chunk {
+        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+    }
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     {
-        let chunk = chunk_size(n);
         let f_ref = &f;
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
         for (slot_chunk, (start, item_chunk)) in out
@@ -352,7 +352,7 @@ pub fn par_map_indexed<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R
                 }
             }));
         }
-        scope_run(tasks);
+        scope_run(tasks, width);
     }
     out.into_iter().map(|slot| slot.expect("gem-par: missing result slot")).collect()
 }
@@ -366,6 +366,13 @@ pub fn par_chunks_mut<T: Send>(
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     assert!(chunk_len > 0, "chunk_len must be positive");
+    let width = effective_threads();
+    if width == 1 || data.len() <= chunk_len {
+        for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
+            f(idx, chunk);
+        }
+        return;
+    }
     let f_ref = &f;
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = data
         .chunks_mut(chunk_len)
@@ -375,7 +382,7 @@ pub fn par_chunks_mut<T: Send>(
             task
         })
         .collect();
-    scope_run(tasks);
+    scope_run(tasks, width);
 }
 
 /// Parallel for-each over individual mutable items: runs `f(i, &mut
@@ -387,17 +394,16 @@ pub fn par_for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sy
     par_chunks_mut(items, 1, |idx, chunk| f(idx, &mut chunk[0]));
 }
 
-/// Chunk size that gives every thread one contiguous chunk (bounded
-/// below to amortize dispatch overhead on tiny inputs). Batch-claim
-/// dispatch makes finer splitting for load balance unnecessary: a
-/// straggler's chunk is the only one left, and everything else was
-/// claimed without extra locking anyway.
-fn chunk_size(n: usize) -> usize {
+/// Chunk size that gives each of `width` threads one contiguous chunk
+/// (bounded below to amortize dispatch overhead on tiny inputs).
+/// Batch-claim dispatch makes finer splitting for load balance
+/// unnecessary: a straggler's chunk is the only one left, and everything
+/// else was claimed without extra locking anyway.
+fn chunk_size(n: usize, width: usize) -> usize {
     if n == 0 {
         return 1;
     }
-    let threads = effective_threads();
-    n.div_ceil(threads).clamp(64.min(n), n)
+    n.div_ceil(width).clamp(64.min(n), n)
 }
 
 #[cfg(test)]
@@ -501,11 +507,23 @@ mod tests {
 
     #[test]
     fn thread_cap_one_still_computes_correctly() {
+        // A cap of one runs every region inline: `f` on the calling
+        // thread, in index order.
         let _g = thread_cap(1);
+        let caller = std::thread::current().id();
         let items: Vec<u64> = (0..4096).collect();
-        let got = par_map(&items, |x| x * 3);
+        let got = par_map(&items, |x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x * 3
+        });
         let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
         assert_eq!(got, expect);
+        let seen = Mutex::new(Vec::new());
+        par_chunks_mut(&mut [0u32; 300], 7, |idx, _chunk| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.lock().unwrap().push(idx);
+        });
+        assert_eq!(seen.into_inner().unwrap(), (0..300usize.div_ceil(7)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -173,13 +173,7 @@ fn fit_streamed() -> (Gem, Vec<SignalRecord>) {
     scenario.n_test_in = 12;
     scenario.n_test_out = 12;
     let ds = Scenario::build(scenario).generate();
-    let cfg = GemConfig {
-        embedding_dim: 4,
-        epochs: 1,
-        augment_passes: 0,
-        num_threads: 1,
-        ..GemConfig::default()
-    };
+    let cfg = GemConfig { embedding_dim: 4, epochs: 1, augment_passes: 0, ..GemConfig::default() };
     let mut gem = Gem::fit(cfg, &ds.train);
     let stream: Vec<SignalRecord> = ds.test.iter().map(|t| t.record.clone()).collect();
     for r in &stream[..8] {

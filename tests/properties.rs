@@ -125,11 +125,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// For a fixed seed, `fit()` on the worker pool and `fit()` forced
-    /// sequential (`num_threads = 1`) must produce bit-identical
-    /// aggregation matrices and epoch losses: every chunk derives its RNG
-    /// from `(seed, epoch, chunk_idx)` and chunk gradients are reduced in
-    /// fixed chunk order, so thread count never touches the arithmetic.
+    /// For a fixed seed, `fit()` on the worker pool and `fit()` capped to
+    /// the calling thread (`gem_par::thread_cap(1)`, every region inline)
+    /// must produce bit-identical aggregation matrices and epoch losses:
+    /// every chunk derives its RNG from `(seed, epoch, chunk_idx)` and
+    /// chunk gradients are reduced in fixed chunk order, so thread count
+    /// never touches the arithmetic.
     /// Both fits run on arena-backed tapes (each worker reuses its
     /// thread-local buffer pool), and the property is checked with the
     /// sparse (lazy) and dense Adam table updates alike.
@@ -147,13 +148,13 @@ proptest! {
         let ds = Scenario::build(scen).generate();
         let g = BipartiteGraph::from_records(WeightFn::default(), ds.train.iter());
 
-        let fit_with = |threads: usize| {
+        let fit_with = |threads: Option<usize>| {
+            let _cap = threads.map(gem_par::thread_cap);
             let cfg = BiSageConfig {
                 dim: 8,
                 sample_sizes: vec![4, 2],
                 epochs: 2,
                 batch_size: 32,
-                num_threads: threads,
                 grad_accum,
                 sparse_adam: sparse_sel == 1,
                 seed,
@@ -163,8 +164,8 @@ proptest! {
             let report = model.fit(&g);
             (model, report)
         };
-        let (seq_model, seq_report) = fit_with(1);
-        let (par_model, par_report) = fit_with(0);
+        let (seq_model, seq_report) = fit_with(Some(1));
+        let (par_model, par_report) = fit_with(None);
 
         prop_assert_eq!(&seq_report.epoch_losses, &par_report.epoch_losses);
         let (seq_wh, seq_wl) = seq_model.aggregation_weights();
